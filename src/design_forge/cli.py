@@ -70,6 +70,12 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative int, got {text!r}")
+    return int(text)
+
+
 def _alphabet_str(design: MixedDesign) -> str:
     counts = Counter(design.alphabet.sizes)
     return " x ".join(
@@ -284,7 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--t", type=int, help="verify at this strength instead of the file's")
     v.add_argument("--strength", type=int, help="override the OA header strength")
     v.add_argument(
-        "--max-words", type=int, help="abort if more words than this must be counted"
+        "--max-words",
+        type=_nonnegative_int,
+        help="abort if more words, or block pairs for --claim ms, than this must be counted",
     )
     v.add_argument("-o", "--output", help="write the report here instead of stdout")
     v.add_argument("file", help="design/large-set JSON or OA text")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from operator import attrgetter
 
 from .errors import AlphabetMismatch
 
@@ -194,17 +195,41 @@ def covers(block: Codeword, word: Codeword, alphabet: MixedAlphabet | None = Non
 
 def min_distance(design: MixedDesign) -> DistanceResult:
     """Minimum pairwise distance with the lexicographically least witness
-    pair; Infinite (math.inf) when fewer than two blocks exist."""
-    blocks = sorted(design.blocks)
-    best: int | float = math.inf
+    pair; Infinite (math.inf) when fewer than two blocks exist.
+
+    Each sorted block is packed into one int mask holding one bit per
+    (coordinate, symbol) pair and one bit per coordinate it uses.  Bits are
+    numbered densely, in the order pairs and coordinates first occur in the
+    sorted blocks, so a mask is as wide as the design's support and not as
+    the alphabet.  Two weight-k blocks share 2 bits at a coordinate where
+    their symbols agree and 1 bit where they differ, so
+
+        d(u, v) = 2k - popcount(m_u & m_v).
+
+    Every pair is still compared; each comparison is one AND and one
+    popcount.  A row keeps its first maximum and the running best changes
+    only on a strict improvement, which yields the least witness pair.
+    """
+    blocks = sorted(design.blocks, key=attrgetter("support"))
+    bits: dict = {}
+    number = bits.setdefault
+    masks = []
+    for b in blocks:
+        m = 0
+        for pair in b.support:
+            m |= 1 << number(pair, len(bits)) | 1 << number(pair[0], len(bits))
+        masks.append(m)
+    shared = -1
     witness = None
-    for i, u in enumerate(blocks):
-        for v in blocks[i + 1 :]:
-            d = hamming_distance(u, v)
-            if d < best:
-                best = d
-                witness = (u, v)
-    return DistanceResult(best, witness)
+    for i, m in enumerate(masks[:-1], 1):
+        row = [(m & other).bit_count() for other in masks[i:]]
+        top = max(row)
+        if top > shared:
+            shared = top
+            witness = (blocks[i - 1], blocks[i + row.index(top)])
+    if witness is None:
+        return DistanceResult(math.inf, None)
+    return DistanceResult(2 * design.k - shared, witness)
 
 
 def enumerate_t_words(alphabet: MixedAlphabet, t: int):

@@ -78,7 +78,8 @@ class FormatError(DesignForgeError):
 
 
 class VerificationLimitExceeded(DesignForgeError):
-    """The word enumeration would exceed the configured ceiling.
+    """The word enumeration, or the block pairs of a distance pass, would
+    exceed the configured ceiling.
 
     Raise the ceiling with the DESIGN_FORGE_MAX_WORDS environment variable or
     the verifier's max_words argument.

@@ -24,6 +24,12 @@ def _require(cond: bool, message: str) -> None:
         raise FormatError(message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer.  JSON true/false load as bool, an int subclass, and
+    are not numbers in an interchange file."""
+    return type(value) is int
+
+
 def _load(text: str) -> dict:
     try:
         data = json.loads(text)
@@ -47,7 +53,7 @@ def _block_from_list(item) -> Codeword:
     for pair in item:
         _require(
             isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, int) for x in pair),
+            and _is_int(pair[0]) and _is_int(pair[1]),
             f"block entry must be a [coordinate, symbol] pair, got {pair!r}",
         )
         support.append((pair[0], pair[1]))
@@ -59,7 +65,7 @@ def _block_from_list(item) -> Codeword:
 
 def _alphabet_from(data) -> MixedAlphabet:
     _require(
-        isinstance(data, list) and data and all(isinstance(s, int) for s in data),
+        isinstance(data, list) and data and all(_is_int(s) for s in data),
         "alphabet must be a nonempty list of ints",
     )
     try:
@@ -90,7 +96,7 @@ def design_from_json(text: str) -> tuple[MixedDesign, Resolution | None]:
     data = _load(text)
     for key in ("alphabet", "t", "k", "blocks"):
         _require(key in data, f"missing key {key!r}")
-    _require(isinstance(data["t"], int) and isinstance(data["k"], int), "t and k must be ints")
+    _require(_is_int(data["t"]) and _is_int(data["k"]), "t and k must be ints")
     _require(isinstance(data["blocks"], list), "blocks must be a list")
     alphabet = _alphabet_from(data["alphabet"])
     blocks = tuple(_block_from_list(b) for b in data["blocks"])
@@ -107,7 +113,7 @@ def design_from_json(text: str) -> tuple[MixedDesign, Resolution | None]:
         for cls in data["classes"]:
             _require(
                 isinstance(cls, list) and all(
-                    isinstance(i, int) and 0 <= i < len(blocks) for i in cls
+                    _is_int(i) and 0 <= i < len(blocks) for i in cls
                 ),
                 f"class must list block indices in range, got {cls!r}",
             )
@@ -134,9 +140,9 @@ def largeset_from_json(text: str) -> LargeSet:
     data = _load(text)
     for key in ("alphabet", "t", "k", "copies"):
         _require(key in data, f"missing key {key!r}")
-    _require(isinstance(data["t"], int) and isinstance(data["k"], int), "t and k must be ints")
+    _require(_is_int(data["t"]) and _is_int(data["k"]), "t and k must be ints")
     lam = data.get("lambda", 1)
-    _require(isinstance(lam, int) and lam >= 1, "lambda must be a positive int")
+    _require(_is_int(lam) and lam >= 1, "lambda must be a positive int")
     _require(isinstance(data["copies"], list), "copies must be a list")
     alphabet = _alphabet_from(data["alphabet"])
     copies = []
@@ -165,13 +171,13 @@ def cover_from_json(text: str) -> PartitionedCover:
     for key in ("n", "t", "k", "R", "classes"):
         _require(key in data, f"missing key {key!r}")
     _require(
-        all(isinstance(data[key], int) for key in ("n", "t", "k")),
+        all(_is_int(data[key]) for key in ("n", "t", "k")),
         "n, t, k must be ints",
     )
 
     def block(item) -> tuple[int, ...]:
         _require(
-            isinstance(item, list) and all(isinstance(p, int) for p in item),
+            isinstance(item, list) and all(_is_int(p) for p in item),
             f"point block must be a list of ints, got {item!r}",
         )
         return tuple(item)

@@ -5,7 +5,8 @@ property from the raw blocks.  A fail report always carries a counterexample
 that can be re-checked independently (a word with its true cover count, a
 block pair with its distance, or a coordinate/class pair for resolutions).
 The word enumeration is guarded by a ceiling (default 10**8 words,
-overridable per call or via DESIGN_FORGE_MAX_WORDS).
+overridable per call or via DESIGN_FORGE_MAX_WORDS); the mixed Steiner
+distance pass is guarded by the same ceiling on block pairs.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ def _word_ceiling(max_words: int | None) -> int:
     if max_words is not None:
         return max_words
     env = os.environ.get("DESIGN_FORGE_MAX_WORDS")
-    return int(env) if env else DEFAULT_MAX_WORDS
+    if not env:
+        return DEFAULT_MAX_WORDS
+    if not env.strip().isdecimal():
+        raise ValueError(
+            f"DESIGN_FORGE_MAX_WORDS must be a nonnegative int, got {env!r}"
+        )
+    return int(env)
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class BoundCheck:
         return max(self.hole_bound, self.group_bound)
 
 
-def _coverage_counterexample(design: MixedDesign, max_words: int | None) -> tuple[
+def _coverage_counterexample(design: MixedDesign, ceiling: int) -> tuple[
     Counterexample | None, int
 ]:
     """Exactly-once coverage of every weight-t word by the blocks.
@@ -90,7 +97,6 @@ def _coverage_counterexample(design: MixedDesign, max_words: int | None) -> tupl
     to locate the first violating word when the check fails.
     """
     total = word_count(design.alphabet, design.t)
-    ceiling = _word_ceiling(max_words)
     if total > ceiling:
         raise VerificationLimitExceeded(
             f"{total} weight-{design.t} words exceed the ceiling {ceiling}"
@@ -119,7 +125,7 @@ def _coverage_counterexample(design: MixedDesign, max_words: int | None) -> tupl
 def verify_gdd(design: MixedDesign, max_words: int | None = None) -> VerificationReport:
     """Group divisible design check: every weight-t word (one point from each
     of t distinct groups) lies in exactly one block."""
-    bad, total = _coverage_counterexample(design, max_words)
+    bad, total = _coverage_counterexample(design, _word_ceiling(max_words))
     stats = {
         "blocks": len(design.blocks),
         "words": total,
@@ -132,9 +138,11 @@ def verify_gdd(design: MixedDesign, max_words: int | None = None) -> Verificatio
 
 def verify_mixed_steiner(design: MixedDesign, max_words: int | None = None) -> VerificationReport:
     """Mixed Steiner check: the GDD coverage clause plus minimum distance
-    >= 2(k - t) + 1."""
+    >= 2(k - t) + 1.  The distance pass compares every block pair, so it
+    raises VerificationLimitExceeded when the pairs exceed the ceiling."""
     required = 2 * (design.k - design.t) + 1
-    bad, total = _coverage_counterexample(design, max_words)
+    ceiling = _word_ceiling(max_words)
+    bad, total = _coverage_counterexample(design, ceiling)
     stats = {
         "blocks": len(design.blocks),
         "words": total,
@@ -144,6 +152,11 @@ def verify_mixed_steiner(design: MixedDesign, max_words: int | None = None) -> V
     }
     if bad is not None:
         return VerificationReport(False, "mixed-steiner", bad, stats)
+    pairs = len(design.blocks) * (len(design.blocks) - 1) // 2
+    if pairs > ceiling:
+        raise VerificationLimitExceeded(
+            f"{pairs} block pairs exceed the ceiling {ceiling}"
+        )
     dist = min_distance(design)
     stats["min_distance"] = dist.value
     if dist.value < required:
@@ -181,7 +194,7 @@ def verify_steiner(
     expected = math.comb(n, t) // math.comb(k, t)
     stats["expected_blocks"] = expected
     stats["block_count_matches"] = len(design.blocks) == expected
-    bad, total = _coverage_counterexample(design, max_words)
+    bad, total = _coverage_counterexample(design, _word_ceiling(max_words))
     stats["words"] = total
     return VerificationReport(bad is None, "steiner", bad, stats)
 

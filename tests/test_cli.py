@@ -154,6 +154,50 @@ def test_verify_word_limit_env_exits_2(tmp_path):
     assert "error:" in result.stderr
 
 
+def test_verify_ms_pair_ceiling_exits_2(tmp_path):
+    # S(2,3,19): 171 weight-2 words but 57 blocks, so 1596 block pairs
+    out = tmp_path / "design.json"
+    run_cli("construct", "--family", "hybrid", "--k", "3", "--i", "4", "-o", str(out))
+    words_fit = run_cli("verify", "--claim", "gdd", "--max-words", "1000", str(out))
+    assert words_fit.returncode == 0
+    result = run_cli("verify", "--claim", "ms", "--max-words", "1000", str(out))
+    assert result.returncode == 2
+    assert "1596 block pairs exceed the ceiling 1000" in result.stderr
+    assert result.stdout == ""
+    assert run_cli("verify", "--claim", "ms", "--max-words", "1596", str(out)).returncode == 0
+
+
+def test_verify_negative_max_words_exits_2(tmp_path):
+    out = tmp_path / "design.json"
+    run_cli("construct", "--family", "hybrid", "--k", "3", "--i", "4", "-o", str(out))
+    result = run_cli("verify", "--claim", "gdd", "--max-words", "-1", str(out))
+    assert result.returncode == 2
+    assert "--max-words" in result.stderr
+    assert "must be a nonnegative int" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_verify_bad_word_limit_env_exits_2(tmp_path, value):
+    import os
+
+    out = tmp_path / "design.json"
+    run_cli("construct", "--family", "hybrid", "--k", "3", "--i", "4", "-o", str(out))
+    env = dict(os.environ, DESIGN_FORGE_MAX_WORDS=value)
+    result = run_cli("verify", "--claim", "gdd", str(out), env=env)
+    assert result.returncode == 2
+    assert "DESIGN_FORGE_MAX_WORDS must be a nonnegative int" in result.stderr
+    assert "invalid literal" not in result.stderr
+
+
+def test_verify_rejects_boolean_symbol_exits_2(tmp_path):
+    path = tmp_path / "design.json"
+    path.write_text('{"alphabet":[2,2],"t":1,"k":1,"blocks":[[[0,true]],[[1,1]]]}')
+    result = run_cli("verify", "--claim", "ms", str(path))
+    assert result.returncode == 2
+    assert "error:" in result.stderr
+    assert result.stdout == ""
+
+
 def test_transform_roundtrip(tmp_path):
     ls_path = tmp_path / "ls.json"
     ls_path.write_text(largeset_to_json(build_toy_large_set()))

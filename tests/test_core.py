@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from design_forge import (
     AlphabetMismatch,
@@ -142,6 +145,60 @@ def test_min_distance_infinite_for_small_designs():
     one = MixedDesign(a, 1, 2, (Codeword(((0, 1), (1, 1))),))
     assert min_distance(one).value == math.inf
     assert min_distance(one).witness is None
+
+
+def _brute_force_min_distance(design):
+    """Reference: every pair of sorted blocks in order, per-pair Hamming
+    distance, first minimum kept."""
+    best, witness = math.inf, None
+    for u, v in combinations(sorted(design.blocks), 2):
+        d = hamming_distance(u, v)
+        if d < best:
+            best, witness = d, (u, v)
+    return best, witness
+
+
+@st.composite
+def _designs(draw):
+    sizes = draw(
+        st.lists(st.one_of(st.integers(2, 4), st.integers(2, 10**9)), min_size=1, max_size=6)
+    )
+    k = draw(st.integers(1, len(sizes)))
+    def supports(coords):
+        return st.tuples(*(st.tuples(st.just(c), st.integers(1, sizes[c] - 1)) for c in coords))
+
+    block = st.lists(
+        st.integers(0, len(sizes) - 1), min_size=k, max_size=k, unique=True
+    ).flatmap(supports)
+    blocks = draw(st.lists(block.map(Codeword), max_size=12))
+    if blocks:
+        blocks += draw(st.lists(st.sampled_from(blocks), max_size=3))  # duplicates
+    blocks = draw(st.permutations(blocks))
+    return MixedDesign(MixedAlphabet(tuple(sizes)), 1, k, tuple(blocks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_designs())
+def test_min_distance_matches_brute_force(design):
+    result = min_distance(design)
+    assert (result.value, result.witness) == _brute_force_min_distance(design)
+
+
+def test_min_distance_memory_tracks_support_not_alphabet():
+    # 200 blocks over a coordinate of size 10**6; numbering bits by alphabet
+    # offset would make each mask ~125 kB wide, ~25 MB in all
+    alphabet = MixedAlphabet((10**6, 2))
+    blocks = tuple(Codeword(((0, 1 + 4999 * j), (1, 1))) for j in range(200))
+    design = MixedDesign(alphabet, 1, 2, blocks)
+    tracemalloc.start()
+    try:
+        result = min_distance(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.value == 1
+    assert result.witness == (blocks[0], blocks[1])
+    assert peak < 5 * 2**20
 
 
 def test_enumerate_t_words_matches_count():

@@ -109,6 +109,31 @@ def test_design_json_errors(text):
         design_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"alphabet":[2,2],"t":1,"k":2,"blocks":[[[0,true],[1,1]]]}',  # symbol
+        '{"alphabet":[2,2],"t":1,"k":2,"blocks":[[[false,1],[1,1]]]}',  # coordinate
+        '{"alphabet":[2,true],"t":1,"k":2,"blocks":[]}',  # size
+        '{"alphabet":[2,2],"t":true,"k":2,"blocks":[]}',  # t
+        '{"alphabet":[2,2],"t":1,"k":2,"blocks":[[[0,1],[1,1]]],"classes":[[false]]}',
+    ],
+)
+def test_design_json_rejects_booleans_as_ints(text):
+    # json true/false are Python bools, and bool is an int subclass
+    with pytest.raises(FormatError, match="int|pair|block indices"):
+        design_from_json(text)
+
+
+def test_largeset_and_cover_json_reject_booleans_as_ints():
+    with pytest.raises(FormatError, match="lambda"):
+        largeset_from_json('{"alphabet":[3,3],"t":1,"k":2,"lambda":true,"copies":[]}')
+    with pytest.raises(FormatError, match="ints"):
+        cover_from_json('{"n":4,"t":2,"k":true,"R":[],"classes":[]}')
+    with pytest.raises(FormatError, match="ints"):
+        cover_from_json('{"n":4,"t":2,"k":3,"R":[[0,true]],"classes":[]}')
+
+
 def test_largeset_roundtrip():
     ls = build_toy_large_set()
     text = largeset_to_json(ls)

@@ -13,9 +13,11 @@ from design_forge import (
     NotAPartition,
     Resolution,
     VerificationLimitExceeded,
+    construct_hybrid_ms,
     covers,
     hamming_distance,
     ms_bound_check,
+    resolvable_affine,
     verify_gdd,
     verify_large_set,
     verify_mixed_steiner,
@@ -206,6 +208,22 @@ def test_word_ceiling_argument_and_env(monkeypatch):
         verify_large_set(build_toy_large_set())
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "1000")
     assert verify_gdd(design).ok
+
+
+def test_pair_ceiling_bounds_the_distance_pass():
+    plane, classes = resolvable_affine(3)
+    design = construct_hybrid_ms(plane, classes, 4)  # 171 words, 1596 pairs
+    with pytest.raises(VerificationLimitExceeded, match="1596 block pairs"):
+        verify_mixed_steiner(design, max_words=1595)
+    assert verify_mixed_steiner(design, max_words=1596).ok
+    assert verify_gdd(design, max_words=1595).ok
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5", " "])
+def test_word_ceiling_env_must_be_a_nonnegative_int(monkeypatch, value):
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", value)
+    with pytest.raises(ValueError, match="DESIGN_FORGE_MAX_WORDS"):
+        verify_gdd(_pair_design())
 
 
 def test_ms_bound_check_values():
