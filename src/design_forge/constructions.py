@@ -12,9 +12,9 @@ Conventions shared by every construction here:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 from .core import (
     Codeword,
@@ -23,6 +23,7 @@ from .core import (
     MixedAlphabet,
     MixedDesign,
     Resolution,
+    first_miscount,
 )
 from .errors import (
     ConstructionFailed,
@@ -40,7 +41,6 @@ from .oa import oa_extended, oa_square
 from .verify import (
     Counterexample,
     VerificationReport,
-    verify_gdd,
     verify_large_set,
     verify_mixed_steiner,
     verify_resolution,
@@ -461,28 +461,22 @@ def validate_cover(cover: PartitionedCover) -> None:
             if key in seen_class_blocks:
                 raise CoverInvariantViolated(f"block {b} appears in two classes")
             seen_class_blocks.add(key)
-        sub: Counter = Counter()
-        for b in cls:
-            for s in combinations(sorted(b), cover.t - 1):
-                sub[s] += 1
-        for s in combinations(pts, cover.t - 1):
-            if sub[s] != 1:
-                raise CoverInvariantViolated(
-                    f"class {ci} covers {s} {sub[s]} times, want exactly once"
-                )
-    cov: Counter = Counter()
-    for b in cover.r_blocks:
-        for s in combinations(sorted(b), cover.t):
-            cov[s] += 1
-    for cls in cover.classes:
-        for b in cls:
-            for s in combinations(sorted(b), cover.t):
-                cov[s] += 1
-    for s in combinations(pts, cover.t):
-        if cov[s] != 1:
+        miss = _cover_miscount(cls, cover.n, cover.t - 1)
+        if miss is not None:
             raise CoverInvariantViolated(
-                f"{cover.t}-subset {s} covered {cov[s]} times, want exactly once"
+                f"class {ci} covers {miss[0]} {miss[1]} times, want exactly once"
             )
+    miss = _cover_miscount(chain(cover.r_blocks, *cover.classes), cover.n, cover.t)
+    if miss is not None:
+        raise CoverInvariantViolated(
+            f"{cover.t}-subset {miss[0]} covered {miss[1]} times, want exactly once"
+        )
+
+
+def _cover_miscount(blocks, n: int, t: int):
+    """first_miscount over the t-subsets of range(n) held by the blocks."""
+    subsets = [s for b in blocks for s in combinations(sorted(b), t)]
+    return first_miscount(subsets, comb(n, t), lambda: combinations(range(n), t))
 
 
 def base_system(k: int) -> PartitionedCover:

@@ -11,8 +11,9 @@ exactly one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, filterfalse, product
 from operator import attrgetter
 
 from .errors import AlphabetMismatch
@@ -265,6 +266,31 @@ def word_count(alphabet: MixedAlphabet, t: int) -> int:
         for j in range(t, 0, -1):
             es[j] += es[j - 1] * g
     return es[t]
+
+
+def first_miscount(items: list, total: int, ordered, want: int = 1):
+    """The exactly-once kernel of every coverage, multiplicity, strength
+    and parallel-class check: None when the items hold each of the `total`
+    elements that `ordered()` yields exactly `want` times, otherwise
+    (element, count) for the first element in that order whose count
+    differs.  The accept test only counts, so every item must be one of
+    those elements.  `ordered` is called only on failure, and a Counter is
+    built only when some item repeats or want > 1."""
+    if want == 1:
+        seen = set(items)
+        if len(items) == total == len(seen):
+            return None
+        if len(seen) == len(items):
+            missing = next(filterfalse(seen.__contains__, ordered()), None)
+            return None if missing is None else (missing, 0)
+    counts = Counter(items)
+    if len(counts) == total and all(c == want for c in counts.values()):
+        return None
+    for element in ordered():
+        c = counts.get(element, 0)
+        if c != want:
+            return element, c
+    return None
 
 
 def gdd_type_of(design: MixedDesign) -> GddType:

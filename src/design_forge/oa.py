@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from .core import first_miscount
 from .errors import StrengthExceedsColumns
 from .fields import field_create
 
@@ -95,20 +96,18 @@ def verify_oa(array: OrthogonalArray, t: int) -> OaReport:
             f"strength {t} exceeds {array.columns} columns"
         )
     k = array.alphabet
+    symbols = range(k)
+    table = [[row[c] for row in array.rows] for c in range(array.columns)]
+    # first_miscount trusts that every key is over 0..k-1, so only an array
+    # holding another symbol (1.5 and -1 alike) filters its keys
+    stray = not all(s in symbols for column in table for s in column)
     for cols in combinations(range(array.columns), t):
-        counts: dict[tuple[int, ...], int] = {}
-        in_range = True
-        for row in array.rows:
-            key = tuple(row[c] for c in cols)
-            counts[key] = counts.get(key, 0) + 1
-            in_range = in_range and all(0 <= s < k for s in key)
-        if in_range and len(counts) == k**t and all(v == 1 for v in counts.values()):
-            continue
-        for symbols in product(range(k), repeat=t):
-            count = counts.get(symbols, 0)
-            if count != 1:
-                return OaReport(False, t, cols, symbols, count)
-        # reachable only via symbols outside 0..k-1
-        bad = min(key for key in counts if any(s >= k or s < 0 for s in key))
-        return OaReport(False, t, cols, bad, counts[bad])
+        keys = list(zip(*(table[c] for c in cols)))
+        inside = [key for key in keys if all(s in symbols for s in key)] if stray else keys
+        miss = first_miscount(inside, k**t, lambda: product(symbols, repeat=t))
+        if miss is None and len(inside) < len(keys):
+            bad = min(set(keys).difference(inside))
+            miss = bad, keys.count(bad)
+        if miss is not None:
+            return OaReport(False, t, cols, *miss)
     return OaReport(True, t)

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, filterfalse
+from itertools import combinations
 
 from .core import (
     Codeword,
     LargeSet,
     MixedDesign,
     Resolution,
-    enumerate_t_words,
+    first_miscount,
     gdd_type_of,
     min_distance,
     word_count,
@@ -48,6 +47,12 @@ def _word_ceiling(max_words: int | None) -> int:
             f"DESIGN_FORGE_MAX_WORDS must be a nonnegative int, got {env!r}"
         )
     return int(env)
+
+
+def _within_ceiling(amount: int, what: str, ceiling: int) -> int:
+    if amount > ceiling:
+        raise VerificationLimitExceeded(f"{amount} {what} exceed the ceiling {ceiling}")
+    return amount
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,29 +96,16 @@ class BoundCheck:
 def _coverage_counterexample(design: MixedDesign, ceiling: int) -> tuple[
     Counterexample | None, int
 ]:
-    """Exactly-once coverage of every weight-t word by the blocks.
-
-    Lists each block's weight-t subwords (output-insensitive: O(blocks *
-    C(k, t)) plus a closed-form total): they cover every word exactly once
-    when there are as many as words and no two are equal.  Only when the
-    check fails does it walk the word supports in order to the first one
-    not covered exactly once, the one word it builds a Codeword for.
-    """
-    total = word_count(design.alphabet, design.t)
-    if total > ceiling:
-        raise VerificationLimitExceeded(
-            f"{total} weight-{design.t} words exceed the ceiling {ceiling}"
-        )
-    subwords = [w for b in design.blocks for w in combinations(b.support, design.t)]
-    once = set(subwords)
-    if len(subwords) == total == len(once):
+    """Exactly-once coverage of every weight-t word by the blocks, counted
+    over the blocks' weight-t subwords (O(blocks * C(k, t))) against the
+    closed-form total; only the violator becomes a Codeword."""
+    t = design.t
+    total = _within_ceiling(word_count(design.alphabet, t), f"weight-{t} words", ceiling)
+    subwords = [w for b in design.blocks for w in combinations(b.support, t)]
+    bad = first_miscount(subwords, total, lambda: word_supports(design.alphabet, t))
+    if bad is None:
         return None, total
-    if len(once) < len(subwords):
-        once -= {w for w, c in Counter(subwords).items() if c > 1}
-    support = next(filterfalse(once.__contains__, word_supports(design.alphabet, design.t)), None)
-    if support is None:
-        raise AssertionError("coverage mismatch without a violating word")
-    c = subwords.count(support)
+    support, c = bad
     return (
         Counterexample(
             kind="coverage",
@@ -180,10 +172,7 @@ def verify_mixed_steiner(design: MixedDesign, max_words: int | None = None) -> V
             stats["min_distance"] = value
             return VerificationReport(True, "mixed-steiner", None, stats)
     pairs = len(design.blocks) * (len(design.blocks) - 1) // 2
-    if pairs > ceiling:
-        raise VerificationLimitExceeded(
-            f"{pairs} block pairs exceed the ceiling {ceiling}"
-        )
+    _within_ceiling(pairs, "block pairs", ceiling)
     dist = min_distance(design)
     stats["min_distance"] = dist.value
     if dist.value < required:
@@ -244,20 +233,18 @@ def verify_resolution(design: MixedDesign, resolution: Resolution) -> Verificati
         stats["expected_classes"] = expected
         stats["class_count_matches"] = len(resolution.classes) == expected
     for ci, cls in enumerate(resolution.classes):
-        seen: Counter = Counter()
-        for i in cls:
-            for c, _ in design.blocks[i].support:
-                seen[c] += 1
-        for c in range(design.alphabet.n):
-            if seen[c] != 1:
-                bad = Counterexample(
-                    kind="parallel",
-                    detail=f"coordinate {c} appears {seen[c]} times in class {ci}",
-                    count=seen[c],
-                    coordinate=c,
-                    class_index=ci,
-                )
-                return VerificationReport(False, "resolution", bad, stats)
+        coords = [c for i in cls for c, _ in design.blocks[i].support]
+        miss = first_miscount(coords, design.alphabet.n, lambda: range(design.alphabet.n))
+        if miss is not None:
+            c, count = miss
+            bad = Counterexample(
+                kind="parallel",
+                detail=f"coordinate {c} appears {count} times in class {ci}",
+                count=count,
+                coordinate=c,
+                class_index=ci,
+            )
+            return VerificationReport(False, "resolution", bad, stats)
     return VerificationReport(True, "resolution", None, stats)
 
 
@@ -265,12 +252,9 @@ def verify_large_set(ls: LargeSet, max_words: int | None = None) -> Verification
     """Large-set check: every weight-k word over the alphabet is a block of
     exactly lam copies, and each copy separately passes the GDD check at
     strength t."""
-    total = word_count(ls.alphabet, ls.k)
-    ceiling = _word_ceiling(max_words)
-    if total > ceiling:
-        raise VerificationLimitExceeded(
-            f"{total} weight-{ls.k} words exceed the ceiling {ceiling}"
-        )
+    total = _within_ceiling(
+        word_count(ls.alphabet, ls.k), f"weight-{ls.k} words", _word_ceiling(max_words)
+    )
     stats = {
         "copies": len(ls.copies),
         "lambda": ls.lam,
@@ -278,23 +262,16 @@ def verify_large_set(ls: LargeSet, max_words: int | None = None) -> Verification
         "t": ls.t,
         "k": ls.k,
     }
-    membership: Counter = Counter()
-    for copy in ls.copies:
-        for b in set(copy):
-            membership[b.support] += 1
-    bad = None
-    if len(membership) != total or any(v != ls.lam for v in membership.values()):
-        for w in enumerate_t_words(ls.alphabet, ls.k):
-            c = membership.get(w.support, 0)
-            if c != ls.lam:
-                bad = Counterexample(
-                    kind="multiplicity",
-                    detail=f"word {w.support} is a block of {c} copies, want {ls.lam}",
-                    word=w,
-                    count=c,
-                )
-                break
-    if bad is not None:
+    members = [b.support for copy in ls.copies for b in set(copy)]
+    miss = first_miscount(members, total, lambda: word_supports(ls.alphabet, ls.k), ls.lam)
+    if miss is not None:
+        support, c = miss
+        bad = Counterexample(
+            kind="multiplicity",
+            detail=f"word {support} is a block of {c} copies, want {ls.lam}",
+            word=Codeword(support),
+            count=c,
+        )
         return VerificationReport(False, "large-set", bad, stats)
     for ci, copy in enumerate(ls.copies):
         rep = verify_gdd(

@@ -23,6 +23,7 @@ from design_forge import (
     min_distance,
     word_count,
 )
+from design_forge.core import first_miscount
 
 
 def test_codeword_sorts_support():
@@ -199,6 +200,35 @@ def test_min_distance_memory_tracks_support_not_alphabet():
     assert result.value == 1
     assert result.witness == (blocks[0], blocks[1])
     assert peak < 5 * 2**20
+
+
+@st.composite
+def _multisets(draw):
+    """An ordered universe of 0..6 elements, a want in 1..3 and a multiset
+    over the universe: either arbitrary (repeats, missing elements, the empty
+    list) or every element `want` times with a few removed and added."""
+    ordered = draw(st.permutations(range(draw(st.integers(0, 6)))))
+    want = draw(st.integers(1, 3))
+    if not ordered:
+        return ordered, want, []
+    element = st.sampled_from(ordered)
+    items = draw(st.one_of(
+        st.lists(element, max_size=12),
+        st.lists(element, max_size=2).flatmap(
+            lambda extra: st.lists(st.sampled_from(ordered), max_size=2).map(
+                lambda drop: [e for e in ordered for _ in range(want - drop.count(e))] + extra
+            )
+        ),
+    ))
+    return ordered, want, draw(st.permutations(items))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multisets())
+def test_first_miscount_matches_brute_force(case):
+    ordered, want, items = case
+    brute = next(((e, items.count(e)) for e in ordered if items.count(e) != want), None)
+    assert first_miscount(items, len(ordered), lambda: iter(ordered), want) == brute
 
 
 def test_enumerate_t_words_matches_count():

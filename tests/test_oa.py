@@ -129,9 +129,22 @@ def test_verify_oa_rejects_bad_strength_requests():
 
 
 def test_verify_oa_flags_out_of_range_symbols():
+    # column 1 holds (0,) and the stray (5,): the first in-range tuple it
+    # misses is reported
     bad = OrthogonalArray(1, 2, 2, ((0, 0), (1, 5)))
     report = verify_oa(bad, 1)
     assert not report.ok
+    assert (report.columns, report.symbols, report.count) == ((1,), (1,), 0)
+    # every in-range tuple is held once, so the stray row itself is reported
+    extra = OrthogonalArray(1, 1, 2, ((0,), (1,), (2,)))
+    report = verify_oa(extra, 1)
+    assert not report.ok
+    assert (report.columns, report.symbols, report.count) == ((0,), (2,), 1)
+    # a symbol between 0 and k-1 that is not one of them is out of range too
+    for rows, first in [(((0,), (1.5,)), ((1,), 0)), (((0,), (1,), (1.5,)), ((1.5,), 1))]:
+        report = verify_oa(OrthogonalArray(1, 1, 2, rows), 1)
+        assert not report.ok
+        assert (report.symbols, report.count) == first
 
 
 def test_reference_array_16x4(fixture_a):
