@@ -20,8 +20,6 @@ and failed, 2 = bad input or infeasible parameters, 3 = unexpected error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -167,13 +165,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             strength = args.strength
         elif args.t is not None:
             strength = args.t
-        report = verify_oa(array, strength)
-        out = json.dumps(
-            dataclasses.asdict(report), separators=(",", ":"), sort_keys=True
-        ) + "\n"
-        _write_report(args.output, out)
-        return 0 if report.ok else 1
-    if args.claim == "largeset":
+        report = verify_oa(array, strength, max_words=args.max_words)
+    elif args.claim == "largeset":
         ls = largeset_from_json(text)
         if args.t is not None and args.t != ls.t:
             ls = LargeSet(ls.alphabet, args.t, ls.k, ls.copies, lam=ls.lam)
@@ -292,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--max-words",
         type=_nonnegative_int,
-        help="abort if more words, or block pairs for --claim ms, than this must be counted",
+        help="abort if more words, block pairs for --claim ms, or column-set tuples "
+        "for --claim oa than this must be counted",
     )
     v.add_argument("-o", "--output", help="write the report here instead of stdout")
     v.add_argument("file", help="design/large-set JSON or OA text")

@@ -204,6 +204,13 @@ def report_to_json(report: VerificationReport) -> str:
             return [scrub(v) for v in value]
         return value
 
+    if report.claim == "oa":
+        # the documented OA shape: the violation's fields at the top level,
+        # all null when the array passes
+        data = {"ok": report.ok, "strength": report.stats["strength"]}
+        for field in ("columns", "symbols", "count"):
+            data[field] = getattr(report.counterexample, field, None)
+        return _dump(data)
     data = {"ok": report.ok, "claim": report.claim, "stats": scrub(report.stats)}
     if report.counterexample is not None:
         ce = report.counterexample

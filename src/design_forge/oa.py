@@ -8,12 +8,14 @@ order, so the q constant rows of oa_square(q) (multiplier a = 0) come first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from .core import first_miscount
 from .errors import StrengthExceedsColumns
 from .fields import field_create
+from .verify import Counterexample, VerificationReport, _within_ceiling, _word_ceiling
 
 
 @dataclass(frozen=True)
@@ -29,17 +31,10 @@ class OrthogonalArray:
     alphabet: int
     rows: tuple[tuple[int, ...], ...]
 
-
-@dataclass(frozen=True)
-class OaReport:
-    """Outcome of a strength check; on failure the first violation in
-    (column set, symbol tuple) lexicographic order is reported."""
-
-    ok: bool
-    strength: int
-    columns: tuple[int, ...] | None = None
-    symbols: tuple[int, ...] | None = None
-    count: int | None = None
+    def __post_init__(self):
+        for row in self.rows:
+            if len(row) != self.columns:
+                raise ValueError(f"row {row} has {len(row)} entries, not {self.columns}")
 
 
 def mols_complete(q: int) -> list[LatinSquare]:
@@ -86,15 +81,21 @@ def oa_sum(t: int, k: int) -> OrthogonalArray:
     return OrthogonalArray(t - 1, t, k, rows)
 
 
-def verify_oa(array: OrthogonalArray, t: int) -> OaReport:
+def verify_oa(
+    array: OrthogonalArray, t: int, max_words: int | None = None
+) -> VerificationReport:
     """Exhaustively check strength t: every t columns must carry every t-tuple
-    over 0..alphabet-1 exactly once."""
+    over 0..alphabet-1 exactly once.  On failure the first violation in
+    (column set, symbol tuple) lexicographic order is reported.  The
+    C(columns, t) x rows tuples read are bounded by the verifiers' ceiling."""
     if t < 1:
         raise ValueError("strength must be >= 1")
     if t > array.columns:
         raise StrengthExceedsColumns(
             f"strength {t} exceeds {array.columns} columns"
         )
+    tuples = math.comb(array.columns, t) * len(array.rows)
+    _within_ceiling(tuples, "column-set tuples", _word_ceiling(max_words))
     k = array.alphabet
     symbols = range(k)
     table = [[row[c] for row in array.rows] for c in range(array.columns)]
@@ -109,5 +110,13 @@ def verify_oa(array: OrthogonalArray, t: int) -> OaReport:
             bad = min(set(keys).difference(inside))
             miss = bad, keys.count(bad)
         if miss is not None:
-            return OaReport(False, t, cols, *miss)
-    return OaReport(True, t)
+            syms, c = miss
+            ce = Counterexample(
+                kind="strength",
+                detail=f"columns {cols} carry {syms} {c} times, want exactly 1",
+                count=c,
+                columns=cols,
+                symbols=syms,
+            )
+            return VerificationReport(False, "oa", ce, {"strength": t})
+    return VerificationReport(True, "oa", stats={"strength": t})

@@ -65,6 +65,8 @@ class Counterexample:
     distance: int | None = None
     coordinate: int | None = None
     class_index: int | None = None
+    columns: tuple[int, ...] | None = None
+    symbols: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -257,6 +257,29 @@ def test_oa_emit_and_verify(tmp_path):
     assert over.returncode == 1
 
 
+def test_verify_oa_report_bytes(tmp_path):
+    out = tmp_path / "square.oa"
+    run_cli("oa", "--kind", "square", "--q", "3", "-o", str(out))
+    ok = run_cli("verify", "--claim", "oa", "--strength", "2", str(out))
+    assert (ok.returncode, ok.stdout) == (
+        0, '{"columns":null,"count":null,"ok":true,"strength":2,"symbols":null}\n'
+    )
+    bad = run_cli("verify", "--claim", "oa", "--strength", "3", str(out))
+    assert (bad.returncode, bad.stdout) == (
+        1, '{"columns":[0,1,2],"count":0,"ok":false,"strength":3,"symbols":[0,0,1]}\n'
+    )
+
+
+def test_verify_oa_max_words_exits_2(tmp_path):
+    out = tmp_path / "square.oa"
+    run_cli("oa", "--kind", "square", "--q", "3", "-o", str(out))
+    # C(3, 2) column sets x 9 rows = 27 tuples
+    over = run_cli("verify", "--claim", "oa", "--max-words", "10", str(out))
+    assert over.returncode == 2
+    assert "27 column-set tuples exceed the ceiling 10" in over.stderr
+    assert run_cli("verify", "--claim", "oa", "--max-words", "27", str(out)).returncode == 0
+
+
 def test_oa_sum_kind():
     result = run_cli("oa", "--kind", "sum", "--t", "3", "--k", "4")
     assert result.returncode == 0

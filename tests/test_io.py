@@ -28,6 +28,7 @@ from design_forge import (
     report_to_json,
     resolvable_affine,
     verify_mixed_steiner,
+    verify_oa,
     verify_resolution,
 )
 from tests.conftest import build_toy_large_set
@@ -211,6 +212,16 @@ def test_report_json_serializes_witness_pairs():
     assert data["counterexample"]["distance"] == 4
     pair = data["counterexample"]["pair"]
     assert len(pair) == 2  # two serialized supports
+
+
+def test_report_json_oa_shape():
+    # the OA report is flat: no claim, stats or counterexample wrapper
+    assert report_to_json(verify_oa(oa_square(3), 2)) == (
+        '{"columns":null,"count":null,"ok":true,"strength":2,"symbols":null}\n'
+    )
+    assert report_to_json(verify_oa(oa_square(3), 3)) == (
+        '{"columns":[0,1,2],"count":0,"ok":false,"strength":3,"symbols":[0,0,1]}\n'
+    )
 
 
 def test_oa_text_roundtrip_and_leniency():

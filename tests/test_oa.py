@@ -8,6 +8,7 @@ from design_forge import (
     NotPrimePower,
     OrthogonalArray,
     StrengthExceedsColumns,
+    VerificationLimitExceeded,
     mols_complete,
     oa_extended,
     oa_square,
@@ -105,13 +106,16 @@ def test_verify_oa_reports_first_violation():
     bad = OrthogonalArray(2, 3, 3, tuple(tuple(r) for r in rows))
     report = verify_oa(bad, 2)
     assert not report.ok
+    assert report.claim == "oa"
+    ce = report.counterexample
+    assert ce.kind == "strength"
     # re-check the counterexample independently: count the reported tuple
     count = sum(
         1
         for row in bad.rows
-        if tuple(row[c] for c in report.columns) == report.symbols
+        if tuple(row[c] for c in ce.columns) == ce.symbols
     )
-    assert count == report.count
+    assert count == ce.count
     assert count != 1
 
 
@@ -119,6 +123,8 @@ def test_verify_oa_strength_too_high_for_rows():
     # 9 rows cannot have strength 3 over 3 symbols (27 tuples needed)
     report = verify_oa(oa_square(3), 3)
     assert not report.ok
+    assert report.claim == "oa"
+    assert report.stats == {"strength": 3}
 
 
 def test_verify_oa_rejects_bad_strength_requests():
@@ -134,17 +140,38 @@ def test_verify_oa_flags_out_of_range_symbols():
     bad = OrthogonalArray(1, 2, 2, ((0, 0), (1, 5)))
     report = verify_oa(bad, 1)
     assert not report.ok
-    assert (report.columns, report.symbols, report.count) == ((1,), (1,), 0)
+    assert report.claim == "oa"
+    ce = report.counterexample
+    assert (ce.columns, ce.symbols, ce.count) == ((1,), (1,), 0)
     # every in-range tuple is held once, so the stray row itself is reported
     extra = OrthogonalArray(1, 1, 2, ((0,), (1,), (2,)))
     report = verify_oa(extra, 1)
     assert not report.ok
-    assert (report.columns, report.symbols, report.count) == ((0,), (2,), 1)
+    ce = report.counterexample
+    assert (ce.columns, ce.symbols, ce.count) == ((0,), (2,), 1)
     # a symbol between 0 and k-1 that is not one of them is out of range too
     for rows, first in [(((0,), (1.5,)), ((1,), 0)), (((0,), (1,), (1.5,)), ((1.5,), 1))]:
         report = verify_oa(OrthogonalArray(1, 1, 2, rows), 1)
         assert not report.ok
-        assert (report.symbols, report.count) == first
+        assert (report.counterexample.symbols, report.counterexample.count) == first
+
+
+def test_orthogonal_array_rejects_rows_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"row \(1,\) has 1 entries, not 2"):
+        OrthogonalArray(1, 2, 2, ((0, 0), (1,)))
+    with pytest.raises(ValueError, match=r"row \(1, 1, 0\)"):
+        OrthogonalArray(1, 2, 2, ((0, 0), (1, 1, 0)))
+
+
+def test_verify_oa_word_ceiling(monkeypatch):
+    # oa_extended(4) at strength 2: C(5, 2) column sets x 16 rows = 160 tuples
+    array = oa_extended(4)
+    with pytest.raises(VerificationLimitExceeded, match="160 column-set tuples"):
+        verify_oa(array, 2, max_words=159)
+    assert verify_oa(array, 2, max_words=160).ok
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "100")
+    with pytest.raises(VerificationLimitExceeded):
+        verify_oa(array, 2)
 
 
 def test_reference_array_16x4(fixture_a):
