@@ -36,7 +36,7 @@ from .constructions import (
     ms1_construct,
     resolvable_affine,
 )
-from .core import LargeSet, MixedDesign, min_distance
+from .core import LargeSet, MixedDesign
 from .errors import DesignForgeError, FormatError, LargeSetInvalid
 from .formats import (
     cover_to_json,
@@ -83,7 +83,9 @@ def _alphabet_str(design: MixedDesign) -> str:
 
 
 def _summary(design: MixedDesign) -> str:
-    dist = min_distance(design).value
+    """Parameters, block count and the minimum distance that the builder's
+    own output check measured."""
+    dist = design.report.stats["min_distance"]
     dist_str = "infinite" if dist == float("inf") else str(dist)
     return (
         f"t={design.t} k={design.k} alphabet {_alphabet_str(design)}: "
@@ -143,6 +145,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
             base, resolution = design_from_json(_read(args.input))
             if resolution is None:
                 raise FormatError("hybrid --input must carry classes")
+            if args.k != base.k:
+                raise ValueError(f"--k {args.k} disagrees with the input's k={base.k}")
+            if args.n is not None and args.n != base.alphabet.n:
+                raise ValueError(
+                    f"--n {args.n} disagrees with the input's {base.alphabet.n} points"
+                )
         else:
             n = args.n if args.n is not None else args.k * args.k
             if n != args.k * args.k:

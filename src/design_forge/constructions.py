@@ -41,11 +41,40 @@ from .oa import oa_extended, oa_square
 from .verify import (
     Counterexample,
     VerificationReport,
+    _verify_design,
+    _within_ceiling,
+    _word_ceiling,
     verify_large_set,
-    verify_mixed_steiner,
     verify_resolution,
     verify_steiner,
 )
+
+
+# --------------------------------------------------------------------------
+# the output check shared by every builder
+# --------------------------------------------------------------------------
+
+def _checked(
+    design: MixedDesign, required: int | None = None, resolution: Resolution | None = None
+) -> MixedDesign:
+    """The one output check every builder returns through: exact coverage
+    of the design's weight-t words, minimum distance >= `required` when it
+    is given, and, when a resolution is given, that it resolves the design.
+    The passing design report is attached as design.report; a failing
+    report raises ConstructionFailed carrying it.  The word and block-pair
+    ceiling of the verifiers applies (VerificationLimitExceeded)."""
+    report = _verify_design(design, required, _word_ceiling(None))
+    if report.ok and resolution is not None:
+        rep = verify_resolution(design, resolution)
+        if not rep.ok:
+            report = rep
+    if not report.ok:
+        raise ConstructionFailed(
+            f"{design.meta}: output failed verification: {report.counterexample.detail}",
+            report=report,
+        )
+    object.__setattr__(design, "report", report)
+    return design
 
 
 # --------------------------------------------------------------------------
@@ -98,8 +127,7 @@ def ms1_construct(sizes, k: int) -> MixedDesign:
        when it proves that none exists, or plain ConstructionFailed when
        the budget runs out, which leaves the question open.
 
-    The design is verified once before it is returned; a failing check
-    raises ConstructionFailed with the report."""
+    The design is checked at distance 2k - 1 before it is returned."""
     feas = ms1_feasible(sizes, k)
     if not feas.feasible:
         why = f"difference {feas.difference}"
@@ -131,13 +159,7 @@ def ms1_construct(sizes, k: int) -> MixedDesign:
         tuple(words),
         meta=f"ms1 k={k} {how} over sorted sizes",
     )
-    report = verify_mixed_steiner(design)
-    if not report.ok:
-        raise ConstructionFailed(
-            f"{how} output failed verification: {report.counterexample.detail}",
-            report=report,
-        )
-    return design
+    return _checked(design, 2 * k - 1)
 
 
 def _no_ms1(q, k: int, bound: str, witness, detail: str) -> NoSuchSystem:
@@ -404,7 +426,8 @@ def construct_from_oa(k: int, r: int) -> MixedDesign:
 
     Blocks: r disjoint binary k-blocks {ik..ik+k-1}, plus one block per OA
     row (j_0..j_{k-1}): binary point i*k + j_i for i < r, then symbol j_i + 1
-    at non-binary coordinate rk + (i - r) for i >= r."""
+    at non-binary coordinate rk + (i - r) for i >= r.  Checked at distance
+    k + r - 2, which is the MS bound 2k - 3 at r = k - 1."""
     if not 1 <= r <= k - 1:
         raise ROutOfRange(f"need 1 <= r <= k-1, got r={r} k={k}")
     array = oa_square(k)
@@ -416,13 +439,14 @@ def construct_from_oa(k: int, r: int) -> MixedDesign:
         support = [(i * k + row[i], 1) for i in range(r)]
         support += [(r * k + (i - r), row[i] + 1) for i in range(r, k)]
         blocks.append(Codeword(tuple(support)))
-    return MixedDesign(
+    design = MixedDesign(
         alphabet,
         2,
         k,
         tuple(blocks),
         meta=f"oa-gdd k={k} r={r}; 0-based (source blocks are 1-based over 1..k)",
     )
+    return _checked(design, k + r - 2)
 
 
 # --------------------------------------------------------------------------
@@ -509,21 +533,23 @@ def combine_partition(cover: PartitionedCover) -> MixedDesign:
     binary; every block of class i (1-based) gets symbol i appended at the
     new last coordinate.  Cover invariants are re-checked first."""
     validate_cover(cover)
-    r = len(cover.classes)
-    alphabet = MixedAlphabet((2,) * cover.n + (r + 1,))
+    return _combine(cover, f"combined cover n={cover.n} r={len(cover.classes)}")
+
+
+def _combine(cover: PartitionedCover, meta: str) -> MixedDesign:
+    """combine_partition without the cover check.  The output check at
+    distance 2(k - t) + 1 re-derives every cover invariant: its binary
+    t-words are the t-subsets, and its words through the last coordinate
+    with symbol i are the (t-1)-subsets of class i."""
+    alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
     blocks = [Codeword(tuple((p, 1) for p in sorted(b))) for b in cover.r_blocks]
     for ci, cls in enumerate(cover.classes, start=1):
         for b in cls:
             blocks.append(
                 Codeword(tuple((p, 1) for p in sorted(b)) + ((cover.n, ci),))
             )
-    return MixedDesign(
-        alphabet,
-        cover.t,
-        cover.k,
-        tuple(blocks),
-        meta=f"combined cover n={cover.n} r={r}",
-    )
+    design = MixedDesign(alphabet, cover.t, cover.k, tuple(blocks), meta=meta)
+    return _checked(design, 2 * (cover.k - cover.t) + 1)
 
 
 # --------------------------------------------------------------------------
@@ -533,7 +559,10 @@ def combine_partition(cover: PartitionedCover) -> MixedDesign:
 def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
     """The affine plane of order q as a resolvable S(2, q, q^2): lines
     y = m*x + c over GF(q) grouped by slope m, then the vertical class.
-    Point (x, y) flattens to x*q + y."""
+    Point (x, y) flattens to x*q + y.  Its C(q^2, 2) point pairs are held
+    to the word ceiling before any field table is built; the output is
+    checked at distance 2(q - 2) + 1 together with its resolution."""
+    _within_ceiling(comb(q * q, 2), "weight-2 words", _word_ceiling(None))
     f = field_create(q)
     blocks: list[Codeword] = []
     classes = []
@@ -556,7 +585,8 @@ def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
         tuple(blocks),
         meta=f"affine plane order {q}",
     )
-    return design, Resolution(tuple(classes))
+    resolution = Resolution(tuple(classes))
+    return _checked(design, 2 * (q - 2) + 1, resolution), resolution
 
 
 @dataclass(frozen=True)
@@ -647,14 +677,9 @@ def construct_hybrid_ms(
     them and yields a Steiner system S(2, k, (k-1)n + 1)."""
     if isinstance(plan, int):
         plan = ReplacePlan.first(len(resolution.classes), plan)
-    cover = expand_design(design, resolution, plan)
-    out = combine_partition(cover)
-    return MixedDesign(
-        out.alphabet,
-        out.t,
-        out.k,
-        out.blocks,
-        meta=f"hybrid k={design.k} n={design.alphabet.n} replaced={plan.replace_count}",
+    return _combine(
+        expand_design(design, resolution, plan),
+        f"hybrid k={design.k} n={design.alphabet.n} replaced={plan.replace_count}",
     )
 
 
@@ -665,7 +690,13 @@ def construct_hybrid_ms(
 def largeset_to_gdd(ls: LargeSet) -> MixedDesign:
     """Fold an LH(n, g, t+1, t) into a GDD(t+1, t+2, ng + h) of type
     g^n h^1, h = g(n - t): blocks of copy j (1-based) get symbol j at a new
-    hole coordinate appended after the n group coordinates."""
+    hole coordinate appended after the n group coordinates.
+
+    The input is a large set exactly when the fold is a GDD at strength
+    t + 1: its words off the hole are the large set's (t+1)-words, and its
+    words through hole symbol j are copy j - 1's t-words (0-based copies).
+    So only the output is checked, and a failure raises LargeSetInvalid
+    whose counterexample is a word of the folded design."""
     if ls.k != ls.t + 1:
         raise TypeMismatch(f"need block size t+1, got k={ls.k} t={ls.t}")
     if ls.lam != 1:
@@ -678,24 +709,27 @@ def largeset_to_gdd(ls: LargeSet) -> MixedDesign:
     h = g * (n - ls.t)
     if len(ls.copies) != h:
         raise CopyCountMismatch(f"{len(ls.copies)} copies, want g(n-t) = {h}")
-    rep = verify_large_set(ls)
-    if not rep.ok:
-        raise LargeSetInvalid(
-            f"input fails the large-set check: {rep.counterexample.detail}", report=rep
-        )
     alphabet = MixedAlphabet(ls.alphabet.sizes + (h + 1,))
     blocks = [
         Codeword(b.support + ((n, j),))
         for j, copy in enumerate(ls.copies, start=1)
         for b in copy
     ]
-    return MixedDesign(
+    design = MixedDesign(
         alphabet,
         ls.t + 1,
         ls.k + 1,
         tuple(blocks),
         meta=f"large set folded at hole coordinate {n}",
     )
+    try:
+        return _checked(design)
+    except ConstructionFailed as exc:
+        raise LargeSetInvalid(
+            f"input is not a large set, its fold fails the GDD check: "
+            f"{exc.report.counterexample.detail}",
+            report=exc.report,
+        ) from None
 
 
 def gdd_to_largeset(design: MixedDesign, hole_coordinate: int | None = None) -> LargeSet:

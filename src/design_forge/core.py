@@ -15,8 +15,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, filterfalse, product
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from .errors import AlphabetMismatch
+
+if TYPE_CHECKING:
+    from .verify import VerificationReport
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -89,7 +93,9 @@ class MixedDesign:
 
     Blocks are kept in construction order; serialization canonicalizes.
     Duplicate blocks are representable on purpose so verifiers can report
-    them instead of trusting constructors.
+    them instead of trusting constructors.  A constructor attaches the
+    passing VerificationReport of its own output check as `report`; it
+    takes no part in equality, hashing or serialization.
     """
 
     alphabet: MixedAlphabet
@@ -97,6 +103,7 @@ class MixedDesign:
     k: int
     blocks: tuple[Codeword, ...]
     meta: str = field(default="", compare=False)
+    report: VerificationReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.t <= self.k:

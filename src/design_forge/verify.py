@@ -139,15 +139,7 @@ def _single_symbol_distance(design: MixedDesign) -> int | float | None:
 def verify_gdd(design: MixedDesign, max_words: int | None = None) -> VerificationReport:
     """Group divisible design check: every weight-t word (one point from each
     of t distinct groups) lies in exactly one block."""
-    bad, total = _coverage_counterexample(design, _word_ceiling(max_words))
-    stats = {
-        "blocks": len(design.blocks),
-        "words": total,
-        "t": design.t,
-        "k": design.k,
-        "gdd_type": str(gdd_type_of(design)),
-    }
-    return VerificationReport(bad is None, "gdd", bad, stats)
+    return _verify_design(design, None, _word_ceiling(max_words))
 
 
 def verify_mixed_steiner(design: MixedDesign, max_words: int | None = None) -> VerificationReport:
@@ -156,23 +148,34 @@ def verify_mixed_steiner(design: MixedDesign, max_words: int | None = None) -> V
     raises VerificationLimitExceeded when the pairs exceed the ceiling.  At
     t = 1 it is skipped unless two blocks share two coordinates (see
     _single_symbol_distance), as only then can the distance fall short."""
-    required = 2 * (design.k - design.t) + 1
-    ceiling = _word_ceiling(max_words)
+    return _verify_design(design, 2 * (design.k - design.t) + 1, _word_ceiling(max_words))
+
+
+def _verify_design(design: MixedDesign, required: int | None, ceiling: int) -> VerificationReport:
+    """Exact coverage of the weight-t words and, when `required` is given,
+    minimum distance >= required, which runs only after coverage passed.
+    The claim is "gdd" unless the distance clause of a mixed Steiner system
+    (required >= 2(k - t) + 1) was checked.  Both public design checks and
+    the constructors' check of their own output share this body."""
     bad, total = _coverage_counterexample(design, ceiling)
     stats = {
         "blocks": len(design.blocks),
         "words": total,
         "t": design.t,
         "k": design.k,
-        "required_distance": required,
     }
+    if required is None:
+        stats["gdd_type"] = str(gdd_type_of(design))
+        return VerificationReport(bad is None, "gdd", bad, stats)
+    claim = "mixed-steiner" if required >= 2 * (design.k - design.t) + 1 else "gdd"
+    stats["required_distance"] = required
     if bad is not None:
-        return VerificationReport(False, "mixed-steiner", bad, stats)
+        return VerificationReport(False, claim, bad, stats)
     if design.t == 1:
         value = _single_symbol_distance(design)
-        if value is not None:
+        if value is not None and value >= required:
             stats["min_distance"] = value
-            return VerificationReport(True, "mixed-steiner", None, stats)
+            return VerificationReport(True, claim, None, stats)
     pairs = len(design.blocks) * (len(design.blocks) - 1) // 2
     _within_ceiling(pairs, "block pairs", ceiling)
     dist = min_distance(design)
@@ -184,8 +187,8 @@ def verify_mixed_steiner(design: MixedDesign, max_words: int | None = None) -> V
             pair=dist.witness,
             distance=int(dist.value),
         )
-        return VerificationReport(False, "mixed-steiner", bad, stats)
-    return VerificationReport(True, "mixed-steiner", None, stats)
+        return VerificationReport(False, claim, bad, stats)
+    return VerificationReport(True, claim, None, stats)
 
 
 def verify_steiner(

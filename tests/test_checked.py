@@ -1,0 +1,274 @@
+"""The one output check: every builder returns through it, attaches its
+report, refuses a bad block with a counterexample that re-checks, and the
+CLI summary reads the distance from that report."""
+
+from __future__ import annotations
+
+import pytest
+
+from design_forge import (
+    Codeword,
+    ConstructionFailed,
+    LargeSet,
+    LargeSetInvalid,
+    MixedDesign,
+    OrthogonalArray,
+    PartitionedCover,
+    Resolution,
+    VerificationLimitExceeded,
+    base_system,
+    combine_partition,
+    construct_from_oa,
+    construct_hybrid_ms,
+    covers,
+    design_from_json,
+    design_to_json,
+    hamming_distance,
+    largeset_to_gdd,
+    min_distance,
+    ms1_construct,
+    resolvable_affine,
+)
+from design_forge import cli, constructions, verify
+from tests.conftest import build_toy_large_set
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The designs handed to the output check, in order."""
+    seen = []
+    real = constructions._verify_design
+
+    def spy(design, *args):
+        seen.append(design)
+        return real(design, *args)
+
+    monkeypatch.setattr(constructions, "_verify_design", spy)
+    return seen
+
+
+def _recheck(design: MixedDesign, report) -> None:
+    """The counterexample holds up on the design without the verifier."""
+    assert not report.ok
+    ce = report.counterexample
+    if ce.kind == "coverage":
+        count = sum(covers(b, ce.word, design.alphabet) for b in design.blocks)
+        assert count == ce.count != 1
+    else:
+        assert ce.kind == "distance"
+        u, v = ce.pair
+        assert u in design.blocks and v in design.blocks
+        d = hamming_distance(u, v, design.alphabet)
+        assert d == ce.distance < report.stats["required_distance"]
+
+
+def test_every_builder_returns_a_passing_report():
+    plane, resolution = resolvable_affine(3)
+    builds = {
+        "ms1": ms1_construct((2, 2, 2, 2, 3), 3),
+        "oa-gdd ms": construct_from_oa(5, 4),
+        "oa-gdd partial": construct_from_oa(5, 2),
+        "combine": combine_partition(base_system(4)),
+        "affine": plane,
+        "hybrid": construct_hybrid_ms(plane, resolution, 2),
+        "fold": largeset_to_gdd(build_toy_large_set()),
+    }
+    gdd = {"oa-gdd partial", "fold"}
+    for label, design in builds.items():
+        report = design.report
+        assert report is not None and report.ok, label
+        assert report.claim == ("gdd" if label in gdd else "mixed-steiner"), label
+        if label != "fold":
+            assert report.stats["min_distance"] == min_distance(design).value, label
+            assert report.stats["min_distance"] >= report.stats["required_distance"]
+
+
+def test_report_takes_no_part_in_equality_hashing_or_serialization():
+    built = construct_from_oa(4, 3)
+    bare = MixedDesign(built.alphabet, built.t, built.k, built.blocks, meta=built.meta)
+    assert built.report is not None and bare.report is None
+    assert built == bare and hash(built) == hash(bare)
+    assert design_to_json(built) == design_to_json(bare)
+    assert "report" not in repr(built)
+
+
+# ------------------------------------------------- one bad block per builder
+
+
+def test_construct_from_oa_refuses_a_changed_oa_row(monkeypatch, checked):
+    real = constructions.oa_square
+
+    def tampered(q):
+        array = real(q)
+        rows = list(array.rows)
+        rows[5] = (rows[5][0], (rows[5][1] + 1) % q) + rows[5][2:]
+        return OrthogonalArray(array.strength, array.columns, array.alphabet, tuple(rows))
+
+    monkeypatch.setattr(constructions, "oa_square", tampered)
+    with pytest.raises(ConstructionFailed) as err:
+        construct_from_oa(4, 2)
+    _recheck(checked[-1], err.value.report)
+
+
+def test_resolvable_affine_refuses_a_changed_field_table(monkeypatch, checked):
+    real = constructions.field_create
+
+    class Tampered:
+        def __init__(self, field):
+            self.field = field
+            self.mul = field.mul
+            self.calls = 0
+
+        def add(self, a, b):
+            # lines are built slope by slope, then intercept, then x: call
+            # 28 of GF(5) is the point at x = 2 on y = x, which moves to y = 3
+            self.calls += 1
+            return self.field.add(a, b + (self.calls == 28))
+
+    monkeypatch.setattr(constructions, "field_create", lambda q: Tampered(real(q)))
+    with pytest.raises(ConstructionFailed) as err:
+        resolvable_affine(5)
+    _recheck(checked[-1], err.value.report)
+
+
+def test_resolvable_affine_refuses_a_bad_resolution(monkeypatch, checked):
+    made = []
+
+    def swapped(classes):
+        # the first line of slope 0 and the first of slope 1 change classes
+        classes = [list(c) for c in classes]
+        classes[0][0], classes[1][0] = classes[1][0], classes[0][0]
+        made.append(Resolution(tuple(tuple(c) for c in classes)))
+        return made[-1]
+
+    monkeypatch.setattr(constructions, "Resolution", swapped)
+    with pytest.raises(ConstructionFailed) as err:
+        resolvable_affine(3)
+    report = err.value.report
+    assert report.claim == "resolution" and not report.ok
+    ce = report.counterexample
+    design = checked[-1]
+    cls = made[-1].classes[ce.class_index]
+    seen = [c for i in cls for c, _ in design.blocks[i].support]
+    assert seen.count(ce.coordinate) == ce.count != 1
+
+
+def test_combine_partition_refuses_a_tampered_cover(monkeypatch, checked):
+    cover = base_system(4)
+    r_blocks = list(cover.r_blocks)
+    first = r_blocks[0]
+    r_blocks[0] = first[:-1] + (r_blocks[1][0],)  # one point moved
+    bad = PartitionedCover(cover.n, cover.t, cover.k, tuple(r_blocks), cover.classes)
+    # the input check would refuse it first; the output check must as well
+    monkeypatch.setattr(constructions, "validate_cover", lambda cover: None)
+    with pytest.raises(ConstructionFailed) as err:
+        combine_partition(bad)
+    _recheck(checked[-1], err.value.report)
+
+
+def test_construct_hybrid_ms_refuses_a_tampered_cover(monkeypatch, checked):
+    real = constructions.expand_design
+
+    def tampered(design, resolution, plan):
+        cover = real(design, resolution, plan)
+        classes = list(cover.classes)
+        last = list(classes[-1])
+        last[0] = last[1]  # one class block repeated, another dropped
+        classes[-1] = tuple(last)
+        return PartitionedCover(cover.n, cover.t, cover.k, cover.r_blocks, tuple(classes))
+
+    monkeypatch.setattr(constructions, "expand_design", tampered)
+    plane, resolution = resolvable_affine(3)
+    with pytest.raises(ConstructionFailed) as err:
+        construct_hybrid_ms(plane, resolution, 1)
+    _recheck(checked[-1], err.value.report)
+
+
+def test_ms1_construct_refuses_blocks_sharing_two_coordinates(monkeypatch, checked):
+    # every symbol is used once, so coverage passes; the distance clause fails
+    monkeypatch.setattr(
+        constructions, "_ms1_greedy", lambda d, k: [[0, 1], [0, 1], [2, 3], [2, 3]]
+    )
+    with pytest.raises(ConstructionFailed) as err:
+        ms1_construct((3, 3, 3, 3), 2)
+    report = err.value.report
+    assert report.counterexample.kind == "distance"
+    _recheck(checked[-1], report)
+
+
+def test_largeset_to_gdd_refuses_a_changed_block(checked):
+    ls = build_toy_large_set()
+    copies = [list(c) for c in ls.copies]
+    b = copies[1][0]
+    copies[1][0] = Codeword(((0, 3 - b.symbol(0)),) + b.support[1:])
+    broken = LargeSet(ls.alphabet, ls.t, ls.k, tuple(tuple(c) for c in copies))
+    with pytest.raises(LargeSetInvalid) as err:
+        largeset_to_gdd(broken)
+    folded = checked[-1]
+    _recheck(folded, err.value.report)
+    # the counterexample is a word of the folded design, whose blocks with
+    # hole symbol j + 1 are the blocks of copy j
+    hole = ls.alphabet.n
+    for j, copy in enumerate(broken.copies):
+        held = [b.support[:-1] for b in folded.blocks if b.symbol(hole) == j + 1]
+        assert held == [b.support for b in copy]
+
+
+# ------------------------------------------------------------------ ceilings
+
+
+def test_resolvable_affine_fails_fast_on_the_word_ceiling(monkeypatch):
+    def no_field(q):
+        raise AssertionError("field_create ran before the ceiling check")
+
+    monkeypatch.setattr(constructions, "field_create", no_field)
+    with pytest.raises(VerificationLimitExceeded, match="weight-2 words"):
+        resolvable_affine(128)  # C(128^2, 2) > 10^8
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "10")
+    with pytest.raises(VerificationLimitExceeded, match="300 weight-2 words"):
+        resolvable_affine(5)
+
+
+def test_the_ceiling_bounds_construct(monkeypatch):
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "10")
+    with pytest.raises(VerificationLimitExceeded):
+        construct_from_oa(4, 3)
+
+
+# -------------------------------------------------- one distance pass per run
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (["--family", "ms1", "--alphabet", "2,2,2,2,3", "--k", "3"], []),
+        (["--family", "ms1", "--alphabet", "2,2,3,3", "--k", "2"], []),
+        (["--family", "oa-gdd", "--k", "5", "--r", "4"], [29]),
+        (["--family", "oa-gdd", "--k", "5", "--r", "2"], [27]),
+        (["--family", "base", "--k", "4"], [19]),
+        (["--family", "affine", "--q", "4"], [20]),
+        (["--family", "hybrid", "--k", "3", "--i", "2", "--input", "plane.json"], [81]),
+        # without --input the affine plane it builds is checked as well
+        (["--family", "hybrid", "--k", "3", "--i", "2"], [12, 81]),
+    ],
+)
+def test_construct_runs_one_distance_pass_per_design(
+    monkeypatch, tmp_path, capsys, argv, passes
+):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["construct", "--family", "affine", "--q", "3", "-o", "plane.json"]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def counted(design):
+        calls.append(len(design.blocks))
+        return min_distance(design)
+
+    assert not hasattr(cli, "min_distance")
+    monkeypatch.setattr(verify, "min_distance", counted)
+    assert cli.main(["construct", *argv, "-o", "design.json"]) == 0
+    assert calls == passes  # block counts of the designs compared pairwise
+    summary = capsys.readouterr().out
+    design, _ = design_from_json((tmp_path / "design.json").read_text())
+    oracle = min_distance(design).value
+    assert summary.rstrip().endswith(f"min distance {oracle}")

@@ -122,6 +122,36 @@ def test_hybrid_with_explicit_input_equals_default(tmp_path):
     assert viato.read_bytes() == plain.read_bytes()
 
 
+def test_hybrid_input_must_agree_with_k_and_n(tmp_path):
+    plane = tmp_path / "plane.json"
+    run_cli("construct", "--family", "affine", "--q", "4", "-o", str(plane))
+    wrong_k = run_cli(
+        "construct", "--family", "hybrid", "--k", "3", "--n", "99", "--i", "0", "--input", str(plane)
+    )
+    assert wrong_k.returncode == 2
+    assert "--k 3 disagrees with the input's k=4" in wrong_k.stderr
+    assert wrong_k.stdout == ""
+    wrong_n = run_cli(
+        "construct", "--family", "hybrid", "--k", "4", "--n", "99", "--i", "0", "--input", str(plane)
+    )
+    assert wrong_n.returncode == 2
+    assert "--n 99 disagrees with the input's 16 points" in wrong_n.stderr
+    both = run_cli(
+        "construct", "--family", "hybrid", "--k", "4", "--n", "16", "--i", "0", "--input", str(plane)
+    )
+    assert both.returncode == 0
+
+
+def test_construct_is_bounded_by_the_word_ceiling():
+    import os
+
+    env = dict(os.environ, DESIGN_FORGE_MAX_WORDS="10")
+    result = run_cli("construct", "--family", "oa-gdd", "--k", "4", "--r", "3", env=env)
+    assert result.returncode == 2
+    assert "114 weight-2 words exceed the ceiling 10" in result.stderr
+    assert result.stdout == ""
+
+
 def test_hybrid_rejects_design_without_classes(tmp_path):
     bare = tmp_path / "bare.json"
     run_cli("construct", "--family", "base", "--k", "3", "-o", str(bare))

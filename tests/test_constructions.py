@@ -210,6 +210,10 @@ def test_construct_from_oa_partial_rank_is_gdd(k):
         assert str(typ) == f"1^{r * k} {k}^{k - r}"
         dist = min_distance(design)
         assert dist.value == k + r - 2
+        # the builder's own check ran at exactly that distance
+        assert design.report.claim == "gdd"
+        assert design.report.stats["required_distance"] == k + r - 2
+        assert design.report.stats["min_distance"] == k + r - 2
         # the witness is a genuine attaining pair
         u, v = dist.witness
         assert u in design.blocks and v in design.blocks
