@@ -293,8 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--max-words",
         type=_nonnegative_int,
-        help="abort if more words, block pairs for --claim ms, or column-set tuples "
-        "for --claim oa than this must be counted",
+        help="abort if more words, block pairs compared for --claim ms, or "
+        "column-set tuples for --claim oa than this must be counted",
     )
     v.add_argument("-o", "--output", help="write the report here instead of stdout")
     v.add_argument("file", help="design/large-set JSON or OA text")

@@ -44,7 +44,6 @@ from .verify import (
     _verify_design,
     _within_ceiling,
     _word_ceiling,
-    verify_large_set,
     verify_resolution,
     verify_steiner,
 )
@@ -674,9 +673,15 @@ def construct_hybrid_ms(
 ) -> MixedDesign:
     """MS(2, k, Z_2^{(k-1)n} x Z_{n+1-(k-1)i}) from a resolvable S(2, k, n)
     with i of its parallel classes replaced; i = (n-1)/(k-1) replaces all of
-    them and yields a Steiner system S(2, k, (k-1)n + 1)."""
+    them and yields a Steiner system S(2, k, (k-1)n + 1).  The output's
+    C(N, 2) + N*r weight-2 words, N = (k-1)n binary points and r the new
+    coordinate's nonzero symbols, are held to the word ceiling before the
+    design is expanded."""
     if isinstance(plan, int):
         plan = ReplacePlan.first(len(resolution.classes), plan)
+    points = (design.k - 1) * design.alphabet.n
+    symbols = design.alphabet.n - (design.k - 1) * plan.replace_count
+    _within_ceiling(comb(points, 2) + points * symbols, "weight-2 words", _word_ceiling(None))
     return _combine(
         expand_design(design, resolution, plan),
         f"hybrid k={design.k} n={design.alphabet.n} replaced={plan.replace_count}",
@@ -736,7 +741,13 @@ def gdd_to_largeset(design: MixedDesign, hole_coordinate: int | None = None) -> 
     """Slice a GDD(t+1, t+2, ng + h) of type g^n h^1 back into the large set
     LH(n, g, t+1, t): copy j collects the blocks holding symbol j at the hole
     coordinate (default: the last one), with the hole removed and coordinates
-    re-indexed.  The result is re-verified."""
+    re-indexed.
+
+    The input is the fold of that large set at the hole coordinate, so, as
+    in largeset_to_gdd, the large set is valid exactly when the input is a
+    GDD at strength t + 1.  The input is checked before it is sliced, and a
+    failure raises LargeSetInvalid whose counterexample is a word of the
+    input."""
     if design.k != design.t + 1:
         raise TypeMismatch(f"need block size t+1, got k={design.k} t={design.t}")
     hole = design.alphabet.n - 1 if hole_coordinate is None else hole_coordinate
@@ -753,26 +764,27 @@ def gdd_to_largeset(design: MixedDesign, hole_coordinate: int | None = None) -> 
     h = design.alphabet.sizes[hole] - 1
     if h != g * (n - t):
         raise TypeMismatch(f"hole has {h} points, want g(n-t) = {g * (n - t)}")
+    holes = [b.symbol(hole) for b in design.blocks]
+    if 0 in holes:
+        b = design.blocks[holes.index(0)]
+        raise TypeMismatch(f"block {b.support} does not meet the hole coordinate {hole}")
+    rep = _verify_design(design, None, _word_ceiling(None))
+    if not rep.ok:
+        raise LargeSetInvalid(
+            f"input is not the fold of a large set, it fails the GDD check: "
+            f"{rep.counterexample.detail}",
+            report=rep,
+        )
     copies: list[list[Codeword]] = [[] for _ in range(h)]
-    for b in design.blocks:
-        j = b.symbol(hole)
-        if j == 0:
-            raise TypeMismatch(f"block {b.support} does not meet the hole coordinate {hole}")
+    for b, j in zip(design.blocks, holes):
         support = tuple(
             (c if c < hole else c - 1, s) for c, s in b.support if c != hole
         )
         copies[j - 1].append(Codeword(support))
-    ls = LargeSet(
+    return LargeSet(
         MixedAlphabet(tuple(group_sizes)), t, design.k - 1,
         tuple(tuple(c) for c in copies),
     )
-    rep = verify_large_set(ls)
-    if not rep.ok:
-        raise LargeSetInvalid(
-            f"sliced copies fail the large-set check: {rep.counterexample.detail}",
-            report=rep,
-        )
-    return ls
 
 
 # --------------------------------------------------------------------------

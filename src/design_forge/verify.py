@@ -119,21 +119,31 @@ def _coverage_counterexample(design: MixedDesign, ceiling: int) -> tuple[
     )
 
 
-def _single_symbol_distance(design: MixedDesign) -> int | float | None:
-    """The minimum distance of a t = 1 design that passed the coverage
-    check, or None when two of its blocks share two coordinates.
+def _coverage_distance(design: MixedDesign) -> int | float | None:
+    """The minimum distance of a design that passed the coverage check,
+    settled by counting, or None when two of its blocks may share two
+    coordinates.
 
-    Each nonzero symbol then lies in exactly one block, so two blocks share
-    no (coordinate, symbol) pair and are at distance 2k less their common
-    coordinates, and coordinate i lies in q_i - 1 blocks.  Unless some
-    coordinate pair lies in two blocks, the distance is 2k - 1 when some
-    q_i >= 3 and 2k when every block is disjoint from the others."""
-    if len(design.blocks) < 2:
+    Coverage puts every (coordinate, symbol) pair, and so every coordinate,
+    in some block.  Two blocks that share at most one coordinate are at
+    distance 2k - 2 when their symbols agree there, 2k - 1 when they differ
+    and 2k when the blocks are disjoint.  So once no coordinate pair lies in
+    two blocks, the B*k block entries decide the distance: more entries
+    than the sum(q_i - 1) pairs puts some pair in two blocks (2k - 2), else
+    more entries than the n coordinates puts some coordinate in two blocks
+    (2k - 1), else the blocks are disjoint (2k).  B*C(k, 2) <= C(n, 2) is
+    necessary for the coordinate pairs to be distinct, so it is checked
+    before they are listed."""
+    b, k, n = len(design.blocks), design.k, design.alphabet.n
+    if b < 2:
         return math.inf
-    pairs = [(u[0], v[0]) for b in design.blocks for u, v in combinations(b.support, 2)]
+    if b * (k * (k - 1) // 2) > n * (n - 1) // 2:
+        return None
+    pairs = [(u[0], v[0]) for blk in design.blocks for u, v in combinations(blk.support, 2)]
     if len(set(pairs)) < len(pairs):
         return None
-    return 2 * design.k - (max(design.alphabet.sizes) > 2)
+    entries = b * k
+    return 2 * k - (entries > sum(design.alphabet.group_sizes)) - (entries > n)
 
 
 def verify_gdd(design: MixedDesign, max_words: int | None = None) -> VerificationReport:
@@ -144,10 +154,10 @@ def verify_gdd(design: MixedDesign, max_words: int | None = None) -> Verificatio
 
 def verify_mixed_steiner(design: MixedDesign, max_words: int | None = None) -> VerificationReport:
     """Mixed Steiner check: the GDD coverage clause plus minimum distance
-    >= 2(k - t) + 1.  The distance pass compares every block pair, so it
-    raises VerificationLimitExceeded when the pairs exceed the ceiling.  At
-    t = 1 it is skipped unless two blocks share two coordinates (see
-    _single_symbol_distance), as only then can the distance fall short."""
+    >= 2(k - t) + 1.  The distance is settled by counting when no two
+    blocks share two coordinates (see _coverage_distance); otherwise, or
+    when that value falls short, the pass compares every block pair and
+    raises VerificationLimitExceeded when the pairs exceed the ceiling."""
     return _verify_design(design, 2 * (design.k - design.t) + 1, _word_ceiling(max_words))
 
 
@@ -171,21 +181,19 @@ def _verify_design(design: MixedDesign, required: int | None, ceiling: int) -> V
     stats["required_distance"] = required
     if bad is not None:
         return VerificationReport(False, claim, bad, stats)
-    if design.t == 1:
-        value = _single_symbol_distance(design)
-        if value is not None and value >= required:
-            stats["min_distance"] = value
-            return VerificationReport(True, claim, None, stats)
-    pairs = len(design.blocks) * (len(design.blocks) - 1) // 2
-    _within_ceiling(pairs, "block pairs", ceiling)
-    dist = min_distance(design)
-    stats["min_distance"] = dist.value
-    if dist.value < required:
+    value, witness = _coverage_distance(design), None
+    if value is None or value < required:
+        pairs = len(design.blocks) * (len(design.blocks) - 1) // 2
+        _within_ceiling(pairs, "block pairs", ceiling)
+        dist = min_distance(design)
+        value, witness = dist.value, dist.witness
+    stats["min_distance"] = value
+    if value < required:
         bad = Counterexample(
             kind="distance",
-            detail=f"blocks at distance {dist.value}, want >= {required}",
-            pair=dist.witness,
-            distance=int(dist.value),
+            detail=f"blocks at distance {value}, want >= {required}",
+            pair=witness,
+            distance=int(value),
         )
         return VerificationReport(False, claim, bad, stats)
     return VerificationReport(True, claim, None, stats)

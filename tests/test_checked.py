@@ -229,6 +229,27 @@ def test_resolvable_affine_fails_fast_on_the_word_ceiling(monkeypatch):
         resolvable_affine(5)
 
 
+def test_construct_hybrid_ms_fails_fast_on_the_word_ceiling(monkeypatch):
+    plane, classes = resolvable_affine(3)
+    expanded = []
+    real = constructions.expand_design
+
+    def spy(*args):
+        expanded.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constructions, "expand_design", spy)
+    # i = 0: 18 binary points and 9 symbols, C(18, 2) + 18 * 9 = 315 words
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "314")
+    with pytest.raises(VerificationLimitExceeded, match="315 weight-2 words"):
+        construct_hybrid_ms(plane, classes, 0)
+    assert expanded == []
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "315")
+    with pytest.raises(VerificationLimitExceeded, match="5460 block pairs"):
+        construct_hybrid_ms(plane, classes, 0)
+    assert len(expanded) == 1
+
+
 def test_the_ceiling_bounds_construct(monkeypatch):
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "10")
     with pytest.raises(VerificationLimitExceeded):
@@ -246,10 +267,12 @@ def test_the_ceiling_bounds_construct(monkeypatch):
         (["--family", "oa-gdd", "--k", "5", "--r", "4"], [29]),
         (["--family", "oa-gdd", "--k", "5", "--r", "2"], [27]),
         (["--family", "base", "--k", "4"], [19]),
-        (["--family", "affine", "--q", "4"], [20]),
+        # an all-binary t = 2 design is settled by counting, with no pass
+        (["--family", "affine", "--q", "4"], []),
         (["--family", "hybrid", "--k", "3", "--i", "2", "--input", "plane.json"], [81]),
-        # without --input the affine plane it builds is checked as well
-        (["--family", "hybrid", "--k", "3", "--i", "2"], [12, 81]),
+        # without --input the affine plane it builds is checked as well,
+        # by counting
+        (["--family", "hybrid", "--k", "3", "--i", "2"], [81]),
     ],
 )
 def test_construct_runs_one_distance_pass_per_design(

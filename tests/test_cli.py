@@ -200,16 +200,22 @@ def test_verify_word_limit_env_exits_2(tmp_path):
 
 
 def test_verify_ms_pair_ceiling_exits_2(tmp_path):
-    # S(2,3,19): 171 weight-2 words but 57 blocks, so 1596 block pairs
+    # the k = 3, i = 2 hybrid: 243 weight-2 words but 81 blocks, so 3240
+    # block pairs
     out = tmp_path / "design.json"
-    run_cli("construct", "--family", "hybrid", "--k", "3", "--i", "4", "-o", str(out))
+    run_cli("construct", "--family", "hybrid", "--k", "3", "--i", "2", "-o", str(out))
     words_fit = run_cli("verify", "--claim", "gdd", "--max-words", "1000", str(out))
     assert words_fit.returncode == 0
     result = run_cli("verify", "--claim", "ms", "--max-words", "1000", str(out))
     assert result.returncode == 2
-    assert "1596 block pairs exceed the ceiling 1000" in result.stderr
+    assert "3240 block pairs exceed the ceiling 1000" in result.stderr
     assert result.stdout == ""
-    assert run_cli("verify", "--claim", "ms", "--max-words", "1596", str(out)).returncode == 0
+    assert run_cli("verify", "--claim", "ms", "--max-words", "3240", str(out)).returncode == 0
+    # S(2,3,19) (1596 pairs) is settled by counting and compares no pairs
+    run_cli("construct", "--family", "hybrid", "--k", "3", "--i", "4", "-o", str(out))
+    steiner = run_cli("verify", "--claim", "ms", "--max-words", "1000", str(out))
+    assert steiner.returncode == 0
+    assert json.loads(steiner.stdout)["stats"]["min_distance"] == 4
 
 
 def test_verify_negative_max_words_exits_2(tmp_path):

@@ -12,6 +12,7 @@ from design_forge import (
     MixedAlphabet,
     MixedDesign,
     TypeMismatch,
+    covers,
     gdd_catalog,
     gdd_to_largeset,
     gdd_type_of,
@@ -165,8 +166,14 @@ def test_slice_rejects_corrupt_copies(toy_large_set):
         tuple((c, s) if c != 3 else (c, other) for c, s in b.support)
     )
     broken = MixedDesign(design.alphabet, design.t, design.k, tuple(blocks))
-    with pytest.raises(LargeSetInvalid):
+    with pytest.raises(LargeSetInvalid) as err:
         gdd_to_largeset(broken)
+    # the counterexample is a word of the input, re-checked without the verifier
+    ce = err.value.report.counterexample
+    assert ce.kind == "coverage"
+    count = sum(covers(b, ce.word, broken.alphabet) for b in broken.blocks)
+    assert count == ce.count != 1
+    assert broken.report is None
 
 
 # ----------------------------------------------------------------- catalog

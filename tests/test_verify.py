@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from design_forge import (
     Codeword,
@@ -16,6 +19,9 @@ from design_forge import (
     NotAPartition,
     Resolution,
     VerificationLimitExceeded,
+    base_system,
+    combine_partition,
+    construct_from_oa,
     construct_hybrid_ms,
     covers,
     hamming_distance,
@@ -29,6 +35,7 @@ from design_forge import (
     verify_resolution,
     verify_steiner,
 )
+from design_forge.verify import _coverage_distance
 from tests.conftest import build_toy_large_set
 
 
@@ -112,6 +119,60 @@ def test_single_symbol_distance_matches_the_pairwise_pass():
                 assert value == min_distance(design).value, (sizes, k)
                 seen.add(value - 2 * k if value != float("inf") else value)
     assert seen == {float("inf"), 0, -1}
+
+
+@cache
+def _roster() -> tuple[MixedDesign, ...]:
+    """Designs that pass coverage: MS(1, k, Q) over small alphabets, affine
+    planes, hybrids at every i, combined base systems, OA GDDs at every r."""
+    designs = []
+    for n in range(1, 6):
+        for sizes in combinations_with_replacement((2, 3, 4), n):
+            for k in (2, 3):
+                try:
+                    designs.append(ms1_construct(sizes, k))
+                except DesignForgeError:
+                    pass
+    designs += [resolvable_affine(q)[0] for q in (2, 3, 4, 5)]
+    for k in (3, 4):
+        plane, classes = resolvable_affine(k)
+        designs += [construct_hybrid_ms(plane, classes, i) for i in range(k + 2)]
+        designs.append(combine_partition(base_system(k)))
+    designs += [construct_from_oa(k, r) for k in (3, 4, 5) for r in range(1, k)]
+    # and one whose two blocks share two coordinates (distance 4 < 2k - 1)
+    shared = (Codeword(((0, 1), (2, 1), (3, 1))), Codeword(((1, 1), (2, 2), (3, 2))))
+    designs.append(MixedDesign(MixedAlphabet((2, 2, 3, 3)), 1, 3, shared))
+    return tuple(designs)
+
+
+@st.composite
+def _relabelled(draw):
+    """A roster design with its coordinates permuted and the symbols of
+    each coordinate relabelled."""
+    design = draw(st.sampled_from(_roster()))
+    sizes = design.alphabet.sizes
+    perm = draw(st.permutations(range(len(sizes))))
+    relabel = [draw(st.permutations(range(1, q))) for q in sizes]
+    moved = [0] * len(sizes)
+    for c, q in enumerate(sizes):
+        moved[perm[c]] = q
+    blocks = tuple(
+        Codeword(tuple((perm[c], relabel[c][s - 1]) for c, s in b.support))
+        for b in design.blocks
+    )
+    return MixedDesign(MixedAlphabet(tuple(moved)), design.t, design.k, blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relabelled())
+def test_coverage_distance_matches_the_pairwise_pass(design):
+    assert verify_gdd(design).ok
+    oracle = min_distance(design).value
+    value = _coverage_distance(design)
+    assert value is None or value == oracle
+    if design.t == 2 and set(design.alphabet.sizes) == {2}:
+        assert value is not None  # every all-binary t = 2 design is settled
+    assert verify_mixed_steiner(design).stats["min_distance"] == oracle
 
 
 def test_verify_steiner_requires_binary():
@@ -235,11 +296,15 @@ def test_word_ceiling_argument_and_env(monkeypatch):
 
 def test_pair_ceiling_bounds_the_distance_pass():
     plane, classes = resolvable_affine(3)
-    design = construct_hybrid_ms(plane, classes, 4)  # 171 words, 1596 pairs
-    with pytest.raises(VerificationLimitExceeded, match="1596 block pairs"):
-        verify_mixed_steiner(design, max_words=1595)
-    assert verify_mixed_steiner(design, max_words=1596).ok
-    assert verify_gdd(design, max_words=1595).ok
+    design = construct_hybrid_ms(plane, classes, 2)  # 243 words, 3240 pairs
+    with pytest.raises(VerificationLimitExceeded, match="3240 block pairs"):
+        verify_mixed_steiner(design, max_words=3239)
+    assert verify_mixed_steiner(design, max_words=3240).ok
+    assert verify_gdd(design, max_words=3239).ok
+    # S(2,3,19) (1596 pairs) is settled by counting and compares no pairs
+    steiner = construct_hybrid_ms(plane, classes, 4)
+    report = verify_mixed_steiner(steiner, max_words=1595)
+    assert report.ok and report.stats["min_distance"] == 4
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5", " "])
