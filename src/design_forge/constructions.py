@@ -24,6 +24,7 @@ from .core import (
     MixedDesign,
     Resolution,
     first_miscount,
+    word_count,
 )
 from .errors import (
     ConstructionFailed,
@@ -425,12 +426,15 @@ def construct_from_oa(k: int, r: int) -> MixedDesign:
 
     Blocks: r disjoint binary k-blocks {ik..ik+k-1}, plus one block per OA
     row (j_0..j_{k-1}): binary point i*k + j_i for i < r, then symbol j_i + 1
-    at non-binary coordinate rk + (i - r) for i >= r.  Checked at distance
-    k + r - 2, which is the MS bound 2k - 3 at r = k - 1."""
+    at non-binary coordinate rk + (i - r) for i >= r.  The alphabet's
+    weight-2 words are held to the word ceiling before the array is built;
+    the output is checked at distance k + r - 2, which is the MS bound
+    2k - 3 at r = k - 1."""
     if not 1 <= r <= k - 1:
         raise ROutOfRange(f"need 1 <= r <= k-1, got r={r} k={k}")
-    array = oa_square(k)
     alphabet = MixedAlphabet((2,) * (r * k) + (k + 1,) * (k - r))
+    _within_ceiling(word_count(alphabet, 2), "weight-2 words", _word_ceiling(None))
+    array = oa_square(k)
     blocks = [
         Codeword(tuple((i * k + c, 1) for c in range(k))) for i in range(r)
     ]

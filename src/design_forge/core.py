@@ -205,36 +205,65 @@ def min_distance(design: MixedDesign) -> DistanceResult:
     """Minimum pairwise distance with the lexicographically least witness
     pair; Infinite (math.inf) when fewer than two blocks exist.
 
-    Each sorted block is packed into one int mask holding one bit per
-    (coordinate, symbol) pair and one bit per coordinate it uses.  Bits are
-    numbered densely, in the order pairs and coordinates first occur in the
-    sorted blocks, so a mask is as wide as the design's support and not as
-    the alphabet.  Two weight-k blocks share 2 bits at a coordinate where
-    their symbols agree and 1 bit where they differ, so
+    Two weight-k blocks share 2 bits at a coordinate where their symbols
+    agree and 1 where they differ, counting one bit per (coordinate,
+    symbol) pair and one per coordinate, so d(u, v) = 2k - shared(u, v).
 
-        d(u, v) = 2k - popcount(m_u & m_v).
-
-    Every pair is still compared; each comparison is one AND and one
-    popcount.  A row keeps its first maximum and the running best changes
-    only on a strict improvement, which yields the least witness pair.
+    The shared counts are bit-sliced: bit j of a column int stands for
+    sorted block j.  Each (coordinate, symbol) pair has an `agree` column
+    of the blocks that hold it, and `differ` holds the blocks that use its
+    coordinate with another symbol (the coordinate's column XOR agree).
+    For row i the block's k (agree, differ) columns, shifted so that bit 0
+    is block i + 1, are added into a binary counter of
+    (2k).bit_length() slice ints, agree at weight 2 and differ at weight 1:
+    the sum of the block's 2k pair and coordinate columns.  The row
+    maximum is read from the top slice down (cand &= slice whenever that
+    is nonzero), and the lowest set bit of cand is the least block at that
+    maximum.  Every pair is still counted, a row keeps its first maximum
+    and the running best changes only on a strict improvement, which
+    yields the least witness pair.  A column is as wide as the blocks, so
+    memory follows the design's support and not its alphabet.
     """
     blocks = sorted(design.blocks, key=attrgetter("support"))
-    bits: dict = {}
-    number = bits.setdefault
-    masks = []
+    agree: dict = {}
+    get = agree.get
+    bit = 1
     for b in blocks:
-        m = 0
         for pair in b.support:
-            m |= 1 << number(pair, len(bits)) | 1 << number(pair[0], len(bits))
-        masks.append(m)
+            agree[pair] = get(pair, 0) | bit
+        bit <<= 1
+    used: dict = {}
+    for (c, _), col in agree.items():
+        used[c] = used.get(c, 0) | col
+    columns = {pair: (col, used[pair[0]] ^ col) for pair, col in agree.items()}
+    width = (2 * design.k).bit_length()
     shared = -1
     witness = None
-    for i, m in enumerate(masks[:-1], 1):
-        row = [(m & other).bit_count() for other in masks[i:]]
-        top = max(row)
+    for i, b in enumerate(blocks[:-1], 1):
+        counter = [0] * width
+        for same, differ in map(columns.__getitem__, b.support):
+            differ >>= i
+            ones = counter[0]
+            counter[0] = ones ^ differ
+            # a block agrees or differs at a coordinate, never both, so
+            # `same` and the carry out of the ones slice are disjoint
+            carry = (same >> i) | (ones & differ)
+            level = 1
+            while carry:
+                s = counter[level]
+                counter[level] = s ^ carry
+                carry &= s
+                level += 1
+        cand = (1 << (len(blocks) - i)) - 1
+        top = 0
+        for level in range(width - 1, -1, -1):
+            hit = cand & counter[level]
+            if hit:
+                cand = hit
+                top |= 1 << level
         if top > shared:
             shared = top
-            witness = (blocks[i - 1], blocks[i + row.index(top)])
+            witness = (b, blocks[i + (cand & -cand).bit_length() - 1])
     if witness is None:
         return DistanceResult(math.inf, None)
     return DistanceResult(2 * design.k - shared, witness)

@@ -156,8 +156,10 @@ def verify_mixed_steiner(design: MixedDesign, max_words: int | None = None) -> V
     """Mixed Steiner check: the GDD coverage clause plus minimum distance
     >= 2(k - t) + 1.  The distance is settled by counting when no two
     blocks share two coordinates (see _coverage_distance); otherwise, or
-    when that value falls short, the pass compares every block pair and
-    raises VerificationLimitExceeded when the pairs exceed the ceiling."""
+    when that value falls short, core.min_distance's bit-sliced column sum
+    counts every block pair and names the least witness pair, and
+    VerificationLimitExceeded is raised first when the pairs exceed the
+    ceiling."""
     return _verify_design(design, 2 * (design.k - design.t) + 1, _word_ceiling(max_words))
 
 

@@ -8,7 +8,8 @@ over Z_2^12 x Z_5 written as four bit-groups plus a final symbol.
 
 from __future__ import annotations
 
-from itertools import product
+import math
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from design_forge import (
     MixedAlphabet,
     MixedDesign,
     OrthogonalArray,
+    hamming_distance,
     oa_from_text,
 )
 
@@ -76,6 +78,18 @@ def load_mixed_rows(name: str, width: int = 3) -> MixedDesign:
     alphabet = MixedAlphabet((2,) * n_binary + (max_symbol + 1,))
     k = blocks[0].weight
     return MixedDesign(alphabet, 2, k, tuple(blocks), meta=f"fixture {name}")
+
+
+def brute_force_min_distance(design: MixedDesign):
+    """Reference for the distance kernel: every pair of sorted blocks in
+    order, per-pair Hamming distance, first minimum kept.  Returns
+    (value, witness), (math.inf, None) below two blocks."""
+    best, witness = math.inf, None
+    for u, v in combinations(sorted(design.blocks), 2):
+        d = hamming_distance(u, v)
+        if d < best:
+            best, witness = d, (u, v)
+    return best, witness
 
 
 def build_toy_large_set() -> LargeSet:

@@ -30,7 +30,7 @@ from design_forge import (
     resolvable_affine,
 )
 from design_forge import cli, constructions, verify
-from tests.conftest import build_toy_large_set
+from tests.conftest import brute_force_min_distance, build_toy_large_set
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ def test_every_builder_returns_a_passing_report():
         assert report is not None and report.ok, label
         assert report.claim == ("gdd" if label in gdd else "mixed-steiner"), label
         if label != "fold":
-            assert report.stats["min_distance"] == min_distance(design).value, label
+            assert report.stats["min_distance"] == brute_force_min_distance(design)[0], label
             assert report.stats["min_distance"] >= report.stats["required_distance"]
 
 
@@ -250,6 +250,23 @@ def test_construct_hybrid_ms_fails_fast_on_the_word_ceiling(monkeypatch):
     assert len(expanded) == 1
 
 
+def test_construct_from_oa_fails_fast_on_the_word_ceiling(monkeypatch):
+    def no_array(k):
+        raise AssertionError("oa_square ran before the ceiling check")
+
+    monkeypatch.setattr(constructions, "oa_square", no_array)
+    # k = 128, r = 127: C(16256, 2) + 16256 * 128 weight-2 words
+    with pytest.raises(VerificationLimitExceeded, match="134201408 weight-2 words"):
+        construct_from_oa(128, 127)
+    # k = 4, r = 3: C(12, 2) + 12 * 4 = 114 words
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "113")
+    with pytest.raises(VerificationLimitExceeded, match="114 weight-2 words"):
+        construct_from_oa(4, 3)
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "114")
+    with pytest.raises(AssertionError, match="oa_square ran"):
+        construct_from_oa(4, 3)
+
+
 def test_the_ceiling_bounds_construct(monkeypatch):
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "10")
     with pytest.raises(VerificationLimitExceeded):
@@ -293,5 +310,5 @@ def test_construct_runs_one_distance_pass_per_design(
     assert calls == passes  # block counts of the designs compared pairwise
     summary = capsys.readouterr().out
     design, _ = design_from_json((tmp_path / "design.json").read_text())
-    oracle = min_distance(design).value
+    oracle = brute_force_min_distance(design)[0]
     assert summary.rstrip().endswith(f"min distance {oracle}")

@@ -152,6 +152,17 @@ def test_construct_is_bounded_by_the_word_ceiling():
     assert result.stdout == ""
 
 
+def test_construct_oa_gdd_fails_fast_on_the_word_ceiling():
+    import os
+
+    env = {k: v for k, v in os.environ.items() if k != "DESIGN_FORGE_MAX_WORDS"}
+    # refused from the alphabet alone, before the 16384-row array is built
+    result = run_cli("construct", "--family", "oa-gdd", "--k", "128", "--r", "127", env=env)
+    assert result.returncode == 2
+    assert "134201408 weight-2 words exceed the ceiling 100000000" in result.stderr
+    assert result.stdout == ""
+
+
 def test_hybrid_rejects_design_without_classes(tmp_path):
     bare = tmp_path / "bare.json"
     run_cli("construct", "--family", "base", "--k", "3", "-o", str(bare))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 from itertools import combinations, product
 
@@ -16,14 +17,17 @@ from design_forge import (
     GddType,
     MixedAlphabet,
     MixedDesign,
+    construct_hybrid_ms,
     covers,
     enumerate_t_words,
     gdd_type_of,
     hamming_distance,
     min_distance,
+    resolvable_affine,
     word_count,
 )
 from design_forge.core import first_miscount
+from tests.conftest import brute_force_min_distance
 
 
 def test_codeword_sorts_support():
@@ -148,17 +152,6 @@ def test_min_distance_infinite_for_small_designs():
     assert min_distance(one).witness is None
 
 
-def _brute_force_min_distance(design):
-    """Reference: every pair of sorted blocks in order, per-pair Hamming
-    distance, first minimum kept."""
-    best, witness = math.inf, None
-    for u, v in combinations(sorted(design.blocks), 2):
-        d = hamming_distance(u, v)
-        if d < best:
-            best, witness = d, (u, v)
-    return best, witness
-
-
 @st.composite
 def _designs(draw):
     sizes = draw(
@@ -178,11 +171,78 @@ def _designs(draw):
     return MixedDesign(MixedAlphabet(tuple(sizes)), 1, k, tuple(blocks))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_designs())
+@st.composite
+def _wide_designs(draw):
+    """The regimes `_designs` never draws: 65 to 100 blocks, so a column
+    of block bits spans several machine words, and k up to 20, so the
+    counter has up to (2k).bit_length() = 6 slices.  Few spare coordinates
+    with few symbols, and near-copies of earlier blocks (a duplicate when
+    no entry moves), give large shared counts that carry into the top slice
+    and ties at the row maximum.  Half the draws keep only distinct blocks,
+    so that the minimum is not a duplicate's 0; a small word space then
+    leaves fewer blocks."""
+    k = draw(st.integers(1, 20))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=k + 1, max_size=k + 6))
+    fewest_moves = draw(st.integers(0, 2))
+    distinct = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    target = draw(st.integers(65, 100))
+    blocks = []
+    for _ in range(3 * target):
+        if blocks and rng.random() < 0.5:
+            support = dict(rng.choice(blocks).support)
+            for _ in range(rng.randint(fewest_moves, 3)):
+                c = rng.choice(list(support))
+                others = [s for s in range(1, sizes[c]) if s != support[c]]
+                if others and rng.random() < 0.5:
+                    support[c] = rng.choice(others)  # change a symbol
+                else:  # or move an entry to a coordinate the block misses
+                    del support[c]
+                    c = rng.choice([x for x in range(len(sizes)) if x not in support and x != c])
+                    support[c] = rng.randint(1, sizes[c] - 1)
+        else:
+            support = {c: rng.randint(1, sizes[c] - 1) for c in rng.sample(range(len(sizes)), k)}
+        block = Codeword(tuple(support.items()))
+        if not (distinct and block in blocks):
+            blocks.append(block)
+        if len(blocks) == target:
+            break
+    return MixedDesign(MixedAlphabet(tuple(sizes)), 1, k, tuple(blocks))
+
+
+@settings(max_examples=260, deadline=None)
+@given(st.one_of(_designs(), _wide_designs()))
 def test_min_distance_matches_brute_force(design):
     result = min_distance(design)
-    assert (result.value, result.witness) == _brute_force_min_distance(design)
+    assert (result.value, result.witness) == brute_force_min_distance(design)
+
+
+def test_min_distance_tie_beyond_the_first_machine_word():
+    # 99 blocks of weight 20: sorted blocks 0..96 are the constant words
+    # 1..97, and blocks 97 and 98 differ from block 0 only at coordinate 0.
+    # Row 0's maximum, 39 shared bits (binary 100111, so in the top slice of
+    # six), is tied at blocks 97 and 98, past the first 64 block bits.
+    rest = tuple((c, 1) for c in range(1, 20))
+    blocks = [Codeword(tuple((c, j) for c in range(20))) for j in range(1, 98)]
+    blocks += [Codeword(((0, s),) + rest) for s in (98, 99)]
+    design = MixedDesign(MixedAlphabet((100,) * 20), 1, 20, tuple(reversed(blocks)))
+    result = min_distance(design)
+    assert (result.value, result.witness) == (1, (blocks[0], blocks[97]))
+    assert (result.value, result.witness) == brute_force_min_distance(design)
+
+
+def test_min_distance_memory_on_the_hybrid_k5_i0():
+    # 745 blocks; the column ints take about 54 kB at peak on CPython 3.11
+    plane, classes = resolvable_affine(5)
+    design = construct_hybrid_ms(plane, classes, 0)
+    tracemalloc.start()
+    try:
+        result = min_distance(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.value == 7
+    assert peak < 2**17
 
 
 def test_min_distance_memory_tracks_support_not_alphabet():

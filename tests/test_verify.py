@@ -25,7 +25,6 @@ from design_forge import (
     construct_hybrid_ms,
     covers,
     hamming_distance,
-    min_distance,
     ms1_construct,
     ms_bound_check,
     resolvable_affine,
@@ -36,7 +35,7 @@ from design_forge import (
     verify_steiner,
 )
 from design_forge.verify import _coverage_distance
-from tests.conftest import build_toy_large_set
+from tests.conftest import brute_force_min_distance, build_toy_large_set
 
 
 def _pair_design():
@@ -105,7 +104,7 @@ def test_verify_mixed_steiner_distance_fail():
 
 def test_single_symbol_distance_matches_the_pairwise_pass():
     # At t = 1 the pairwise pass is skipped unless two blocks share two
-    # coordinates; the reported value must still be min_distance's, for
+    # coordinates; the reported value must still be the true one, for
     # single blocks (infinite), disjoint blocks (2k) and shared ones (2k-1).
     seen = set()
     for n in range(1, 7):
@@ -116,7 +115,7 @@ def test_single_symbol_distance_matches_the_pairwise_pass():
                 except DesignForgeError:
                     continue
                 value = verify_mixed_steiner(design).stats["min_distance"]
-                assert value == min_distance(design).value, (sizes, k)
+                assert value == brute_force_min_distance(design)[0], (sizes, k)
                 seen.add(value - 2 * k if value != float("inf") else value)
     assert seen == {float("inf"), 0, -1}
 
@@ -167,12 +166,27 @@ def _relabelled(draw):
 @given(_relabelled())
 def test_coverage_distance_matches_the_pairwise_pass(design):
     assert verify_gdd(design).ok
-    oracle = min_distance(design).value
+    oracle = brute_force_min_distance(design)[0]
     value = _coverage_distance(design)
     assert value is None or value == oracle
     if design.t == 2 and set(design.alphabet.sizes) == {2}:
         assert value is not None  # every all-binary t = 2 design is settled
     assert verify_mixed_steiner(design).stats["min_distance"] == oracle
+
+
+def test_ms_reject_names_the_least_witness_pair():
+    # the oa-gdd k = 9 partials (r < 8) are GDDs at distance k + r - 2,
+    # below the MS bound 2k - 3, so the MS check rejects them by the
+    # pairwise pass; r = 8 is the MS design itself
+    for r in range(1, 9):
+        design = construct_from_oa(9, r)
+        value, witness = brute_force_min_distance(design)
+        report = verify_mixed_steiner(design)
+        assert report.stats["min_distance"] == value == 9 + r - 2, r
+        assert report.ok == (r == 8), r
+        if r < 8:
+            ce = report.counterexample
+            assert (ce.kind, ce.distance, ce.pair) == ("distance", value, witness), r
 
 
 def test_verify_steiner_requires_binary():
