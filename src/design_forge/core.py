@@ -28,15 +28,24 @@ class Codeword:
     support: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        pairs = tuple(sorted(tuple(p) for p in self.support))
-        coords = [c for c, _ in pairs]
-        if len(set(coords)) != len(coords):
+        """The one check of a support's entries: 2-item lists or tuples of
+        int (not bool), distinct coordinates >= 0 and symbols >= 1."""
+        pairs = []
+        for p in self.support:
+            if not (isinstance(p, (tuple, list)) and len(p) == 2
+                    and type(p[0]) is int and type(p[1]) is int):
+                raise ValueError(f"block entry must be a [coordinate, symbol] pair, got {p!r}")
+            pairs.append(tuple(p))
+        pairs.sort()
+        pairs = tuple(pairs)
+        symbols = dict(pairs)
+        if len(symbols) != len(pairs):
             raise ValueError(f"repeated coordinate in support {pairs}")
-        for c, s in pairs:
-            if c < 0:
-                raise ValueError(f"negative coordinate {c}")
-            if s < 1:
-                raise ValueError(f"symbol {s} at coordinate {c} must be nonzero")
+        if pairs and pairs[0][0] < 0:
+            raise ValueError(f"negative coordinate {pairs[0][0]}")
+        if pairs and min(symbols.values()) < 1:
+            c, s = next(p for p in pairs if p[1] < 1)
+            raise ValueError(f"symbol {s} at coordinate {c} must be nonzero")
         object.__setattr__(self, "support", pairs)
 
     @property
@@ -76,15 +85,24 @@ class MixedAlphabet:
         return tuple(s - 1 for s in self.sizes)
 
     def check_word(self, word: Codeword) -> None:
+        sizes = self.sizes
+        n = len(sizes)
         for c, s in word.support:
-            if c >= self.n:
+            if c >= n:
+                raise AlphabetMismatch(f"coordinate {c} out of range for {n} coordinates")
+            if s >= sizes[c]:
                 raise AlphabetMismatch(
-                    f"coordinate {c} out of range for {self.n} coordinates"
+                    f"symbol {s} out of range at coordinate {c} (size {sizes[c]})"
                 )
-            if s >= self.sizes[c]:
-                raise AlphabetMismatch(
-                    f"symbol {s} out of range at coordinate {c} (size {self.sizes[c]})"
-                )
+
+
+def _check_blocks(alphabet: MixedAlphabet, k: int, blocks) -> None:
+    """The fit of a block list, shared by designs and large sets: every
+    block has weight k and fits the alphabet."""
+    for b in blocks:
+        if len(b.support) != k:
+            raise ValueError(f"block {b.support} has weight {b.weight}, not {k}")
+        alphabet.check_word(b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,10 +127,7 @@ class MixedDesign:
         if not 1 <= self.t <= self.k:
             raise ValueError(f"need 1 <= t <= k, got t={self.t} k={self.k}")
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        for b in self.blocks:
-            if b.weight != self.k:
-                raise ValueError(f"block {b.support} has weight {b.weight}, not {self.k}")
-            self.alphabet.check_word(b)
+        _check_blocks(self.alphabet, self.k, self.blocks)
 
 
 @dataclass(frozen=True)
@@ -166,10 +181,7 @@ class LargeSet:
         if self.lam < 1:
             raise ValueError("lam must be >= 1")
         for copy in self.copies:
-            for b in copy:
-                if b.weight != self.k:
-                    raise ValueError(f"block {b.support} has weight {b.weight}, not {self.k}")
-                self.alphabet.check_word(b)
+            _check_blocks(self.alphabet, self.k, copy)
 
 
 @dataclass(frozen=True, slots=True)

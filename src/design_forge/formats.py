@@ -43,22 +43,12 @@ def _dump(data) -> str:
     return json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
 
 
-def _block_to_list(block: Codeword) -> list[list[int]]:
-    return [[c, s] for c, s in block.support]
-
-
 def _block_from_list(item) -> Codeword:
-    _require(isinstance(item, list), f"block must be a list, got {type(item).__name__}")
-    support = []
-    for pair in item:
-        _require(
-            isinstance(pair, list) and len(pair) == 2
-            and _is_int(pair[0]) and _is_int(pair[1]),
-            f"block entry must be a [coordinate, symbol] pair, got {pair!r}",
-        )
-        support.append((pair[0], pair[1]))
+    """A block read from JSON: Codeword checks its entries."""
+    if not isinstance(item, list):
+        raise FormatError(f"block must be a list, got {type(item).__name__}")
     try:
-        return Codeword(tuple(support))
+        return Codeword(item)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -77,13 +67,14 @@ def _alphabet_from(data) -> MixedAlphabet:
 def design_to_json(design: MixedDesign, resolution: Resolution | None = None) -> str:
     """Canonical JSON for a design: blocks sorted by support, resolution
     class indices remapped to the sorted order."""
-    order = sorted(range(len(design.blocks)), key=lambda i: design.blocks[i].support)
+    supports = [b.support for b in design.blocks]
+    order = sorted(range(len(supports)), key=supports.__getitem__)
     position = {old: new for new, old in enumerate(order)}
     data = {
         "alphabet": list(design.alphabet.sizes),
         "t": design.t,
         "k": design.k,
-        "blocks": [_block_to_list(design.blocks[i]) for i in order],
+        "blocks": [supports[i] for i in order],
     }
     if design.meta:
         data["meta"] = design.meta
@@ -111,12 +102,10 @@ def design_from_json(text: str) -> tuple[MixedDesign, Resolution | None]:
         _require(isinstance(data["classes"], list), "classes must be a list")
         classes = []
         for cls in data["classes"]:
-            _require(
-                isinstance(cls, list) and all(
-                    _is_int(i) and 0 <= i < len(blocks) for i in cls
-                ),
-                f"class must list block indices in range, got {cls!r}",
-            )
+            if not (isinstance(cls, list) and all(
+                _is_int(i) and 0 <= i < len(blocks) for i in cls
+            )):
+                raise FormatError(f"class must list block indices in range, got {cls!r}")
             classes.append(tuple(cls))
         resolution = Resolution(tuple(classes))
     return design, resolution
@@ -128,10 +117,7 @@ def largeset_to_json(ls: LargeSet) -> str:
         "t": ls.t,
         "k": ls.k,
         "lambda": ls.lam,
-        "copies": [
-            [_block_to_list(b) for b in sorted(copy, key=lambda b: b.support)]
-            for copy in ls.copies
-        ],
+        "copies": [sorted(b.support for b in copy) for copy in ls.copies],
     }
     return _dump(data)
 
@@ -176,10 +162,8 @@ def cover_from_json(text: str) -> PartitionedCover:
     )
 
     def block(item) -> tuple[int, ...]:
-        _require(
-            isinstance(item, list) and all(_is_int(p) for p in item),
-            f"point block must be a list of ints, got {item!r}",
-        )
+        if not (isinstance(item, list) and all(_is_int(p) for p in item)):
+            raise FormatError(f"point block must be a list of ints, got {item!r}")
         return tuple(item)
 
     _require(isinstance(data["R"], list), "R must be a list")
@@ -197,7 +181,7 @@ def report_to_json(report: VerificationReport) -> str:
         if isinstance(value, float) and math.isinf(value):
             return "Infinite"
         if isinstance(value, Codeword):
-            return _block_to_list(value)
+            return value.support
         if isinstance(value, dict):
             return {k: scrub(v) for k, v in value.items()}
         if isinstance(value, (list, tuple)):

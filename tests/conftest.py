@@ -9,19 +9,27 @@ over Z_2^12 x Z_5 written as four bit-groups plus a final symbol.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
 from design_forge import (
     Codeword,
+    DesignForgeError,
     LargeSet,
     MixedAlphabet,
     MixedDesign,
     OrthogonalArray,
+    base_system,
+    combine_partition,
+    construct_from_oa,
+    construct_hybrid_ms,
     hamming_distance,
+    ms1_construct,
     oa_from_text,
+    resolvable_affine,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,6 +98,30 @@ def brute_force_min_distance(design: MixedDesign):
         if d < best:
             best, witness = d, (u, v)
     return best, witness
+
+
+@cache
+def verified_roster() -> tuple[MixedDesign, ...]:
+    """Designs that pass coverage: MS(1, k, Q) over small alphabets, affine
+    planes, hybrids at every i, combined base systems, OA GDDs at every r."""
+    designs = []
+    for n in range(1, 6):
+        for sizes in combinations_with_replacement((2, 3, 4), n):
+            for k in (2, 3):
+                try:
+                    designs.append(ms1_construct(sizes, k))
+                except DesignForgeError:
+                    pass
+    designs += [resolvable_affine(q)[0] for q in (2, 3, 4, 5)]
+    for k in (3, 4):
+        plane, classes = resolvable_affine(k)
+        designs += [construct_hybrid_ms(plane, classes, i) for i in range(k + 2)]
+        designs.append(combine_partition(base_system(k)))
+    designs += [construct_from_oa(k, r) for k in (3, 4, 5) for r in range(1, k)]
+    # and one whose two blocks share two coordinates (distance 4 < 2k - 1)
+    shared = (Codeword(((0, 1), (2, 1), (3, 1))), Codeword(((1, 1), (2, 2), (3, 2))))
+    designs.append(MixedDesign(MixedAlphabet((2, 2, 3, 3)), 1, 3, shared))
+    return tuple(designs)
 
 
 def build_toy_large_set() -> LargeSet:

@@ -48,6 +48,22 @@ def test_codeword_rejects_bad_support():
         Codeword(((-1, 1),))  # negative coordinate
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [(0, 1.5), (0.0, 1), (True, 1), (0, False), ("0", 1), (0, "1"), "01", (0,), (0, 1, 1), [0, [1]], None],
+)
+def test_codeword_accepts_only_int_pairs(entry):
+    # bool is an int subclass; a float or string entry would let a design
+    # build that design_to_json then writes as a file the reader refuses
+    with pytest.raises(ValueError, match=r"block entry must be a \[coordinate, symbol\] pair"):
+        Codeword(((2, 1), entry))
+
+
+def test_codeword_takes_lists_and_stores_sorted_tuples():
+    # the JSON reader hands Codeword the lists it parsed
+    assert Codeword([[3, 1], [0, 2]]).support == ((0, 2), (3, 1))
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         MixedAlphabet(())

@@ -6,12 +6,17 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from design_forge import (
     Codeword,
     FormatError,
+    LargeSet,
     MixedAlphabet,
     MixedDesign,
+    PartitionedCover,
+    Resolution,
     VerificationReport,
     base_system,
     combine_partition,
@@ -31,7 +36,7 @@ from design_forge import (
     verify_oa,
     verify_resolution,
 )
-from tests.conftest import build_toy_large_set
+from tests.conftest import build_toy_large_set, verified_roster
 
 
 def test_design_roundtrip_is_canonical():
@@ -135,6 +140,87 @@ def test_largeset_and_cover_json_reject_booleans_as_ints():
         cover_from_json('{"n":4,"t":2,"k":3,"R":[[0,true]],"classes":[]}')
 
 
+_D = '{"alphabet":[2,2,2],"t":1,"k":2,"blocks":%s}'
+_L = '{"alphabet":[3,3],"t":1,"k":2,"copies":[[%s]]}'
+_R = '{"alphabet":[2,2,2],"t":1,"k":2,"blocks":[[[0,1],[1,1]]],"classes":%s}'
+_C = '{"n":4,"t":2,"k":3,"R":%s,"classes":[]}'
+_ENTRY = "block entry must be a [coordinate, symbol] pair, got "
+
+
+@pytest.mark.parametrize(
+    ("read", "text", "message"),
+    [
+        (design_from_json, "not json", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (design_from_json, "[1,2]", "top level must be a JSON object"),
+        (design_from_json, '{"alphabet":[2,2],"t":1,"k":2}', "missing key 'blocks'"),
+        (design_from_json, '{"alphabet":[2,2],"t":"1","k":2,"blocks":[]}', "t and k must be ints"),
+        (design_from_json, '{"alphabet":[2,2],"t":true,"k":2,"blocks":[]}', "t and k must be ints"),
+        (design_from_json, '{"alphabet":[2,2],"t":1,"k":2,"blocks":{}}', "blocks must be a list"),
+        (design_from_json, '{"alphabet":[],"t":1,"k":2,"blocks":[]}', "alphabet must be a nonempty list of ints"),
+        (design_from_json, '{"alphabet":[2,true],"t":1,"k":2,"blocks":[]}', "alphabet must be a nonempty list of ints"),
+        (design_from_json, '{"alphabet":[2,0],"t":1,"k":2,"blocks":[]}', "every alphabet size must be >= 2, got (2, 0)"),
+        (design_from_json, '{"alphabet":[2,2],"t":3,"k":2,"blocks":[]}', "need 1 <= t <= k, got t=3 k=2"),
+        (design_from_json, '{"alphabet":[2,2],"t":1,"k":2,"blocks":[],"meta":3}', "meta must be a string"),
+        (design_from_json, _D % "[7]", "block must be a list, got int"),
+        (design_from_json, _D % '[[[0,1],"x"]]', _ENTRY + "'x'"),
+        (design_from_json, _D % "[[[0,1],[1]]]", _ENTRY + "[1]"),
+        (design_from_json, _D % "[[[0,1],[1,1,1]]]", _ENTRY + "[1, 1, 1]"),
+        (design_from_json, _D % "[[[0,true],[1,1]]]", _ENTRY + "[0, True]"),
+        (design_from_json, _D % "[[[false,1],[1,1]]]", _ENTRY + "[False, 1]"),
+        (design_from_json, _D % "[[[0.0,1],[1,1]]]", _ENTRY + "[0.0, 1]"),  # float coordinate
+        (design_from_json, _D % "[[[0,1],[1,1.5]]]", _ENTRY + "[1, 1.5]"),  # float symbol
+        (design_from_json, _D % '[[[0,1],["1",1]]]', _ENTRY + "['1', 1]"),  # string entry
+        (design_from_json, _D % "[[[0,1],[0,2]]]", "repeated coordinate in support ((0, 1), (0, 2))"),
+        (design_from_json, _D % "[[[0,1],[0,1]]]", "repeated coordinate in support ((0, 1), (0, 1))"),
+        (design_from_json, _D % "[[[1,1],[-1,1]]]", "negative coordinate -1"),
+        (design_from_json, _D % "[[[0,-1],[1,1]]]", "symbol -1 at coordinate 0 must be nonzero"),
+        (design_from_json, _D % "[[]]", "block () has weight 0, not 2"),
+        (design_from_json, _D % "[[[0,1],[1,1],[2,1]]]", "block ((0, 1), (1, 1), (2, 1)) has weight 3, not 2"),
+        (design_from_json, _D % "[[[0,1],[3,1]]]", "coordinate 3 out of range for 3 coordinates"),
+        (design_from_json, _D % "[[[0,1],[1,5]]]", "symbol 5 out of range at coordinate 1 (size 2)"),
+        # several faults: the first in the order the texts above are checked,
+        # and within a support the first in sorted order
+        (design_from_json, _D % '[[[0,1],[0,2],"x"]]', _ENTRY + "'x'"),
+        (design_from_json, _D % "[[[1,0],[-1,1]]]", "negative coordinate -1"),
+        (design_from_json, _D % "[[[3,0],[1,0]]]", "symbol 0 at coordinate 1 must be nonzero"),
+        (design_from_json, _D % "[[[0,5],[3,1]]]", "symbol 5 out of range at coordinate 0 (size 2)"),
+        (design_from_json, _D % "[[[0,1],[7,1]],[[0,1.5],[1,1]]]", _ENTRY + "[0, 1.5]"),
+        (design_from_json, _D % "[[[1,1],[0,1]],[[-2,1],[1,1]]]", "negative coordinate -2"),
+        (design_from_json, _R % "{}", "classes must be a list"),
+        (design_from_json, _R % "[[1]]", "class must list block indices in range, got [1]"),
+        (design_from_json, _R % "[[false]]", "class must list block indices in range, got [False]"),
+        (design_from_json, _R % "[0]", "class must list block indices in range, got 0"),
+        (largeset_from_json, '{"alphabet":[3,3],"t":2,"k":3}', "missing key 'copies'"),
+        (largeset_from_json, '{"alphabet":[3,3],"t":2,"k":3,"lambda":0,"copies":[]}', "lambda must be a positive int"),
+        (largeset_from_json, '{"alphabet":[3,3],"t":1,"k":2,"lambda":true,"copies":[]}', "lambda must be a positive int"),
+        (largeset_from_json, '{"alphabet":[3,3],"t":1.0,"k":2,"copies":[]}', "t and k must be ints"),
+        (largeset_from_json, '{"alphabet":[3,3],"t":1,"k":2,"copies":{}}', "copies must be a list"),
+        (largeset_from_json, '{"alphabet":[3,3],"t":1,"k":2,"copies":[7]}', "each copy must be a list of blocks"),
+        (largeset_from_json, _L % "7", "block must be a list, got int"),
+        (largeset_from_json, _L % "[[0,1],[1,1.5]]", _ENTRY + "[1, 1.5]"),
+        (largeset_from_json, _L % '[[0,1],[1,"2"]]', _ENTRY + "[1, '2']"),
+        (largeset_from_json, _L % "[[0,1],[0,2]]", "repeated coordinate in support ((0, 1), (0, 2))"),
+        (largeset_from_json, _L % "[[0,1]]", "block ((0, 1),) has weight 1, not 2"),
+        (largeset_from_json, _L % "[[0,1],[1,4]]", "symbol 4 out of range at coordinate 1 (size 3)"),
+        (largeset_from_json, _L % "[[0,1],[5,1]]", "coordinate 5 out of range for 2 coordinates"),
+        (cover_from_json, '{"n":4,"t":2,"k":3,"R":[]}', "missing key 'classes'"),
+        (cover_from_json, '{"n":4,"t":2,"k":true,"R":[],"classes":[]}', "n, t, k must be ints"),
+        (cover_from_json, _C % "{}", "R must be a list"),
+        (cover_from_json, '{"n":4,"t":2,"k":3,"R":[],"classes":{}}', "classes must be a list"),
+        (cover_from_json, '{"n":4,"t":2,"k":3,"R":[],"classes":[7]}', "each class must be a list of blocks"),
+        (cover_from_json, _C % "[7]", "point block must be a list of ints, got 7"),
+        (cover_from_json, _C % '[["a"]]', "point block must be a list of ints, got ['a']"),
+        (cover_from_json, _C % "[[0,true]]", "point block must be a list of ints, got [0, True]"),
+        (cover_from_json, _C % "[[0,1.5]]", "point block must be a list of ints, got [0, 1.5]"),
+        (cover_from_json, '{"n":4,"t":2,"k":3,"R":[],"classes":[[[0,"1"]]]}', "point block must be a list of ints, got [0, '1']"),
+    ],
+)
+def test_reader_error_texts(read, text, message):
+    with pytest.raises(FormatError) as info:
+        read(text)
+    assert str(info.value) == message
+
+
 def test_largeset_roundtrip():
     ls = build_toy_large_set()
     text = largeset_to_json(ls)
@@ -158,6 +244,96 @@ def test_largeset_json_errors():
         largeset_from_json(
             '{"alphabet":[3,3],"t":2,"k":3,"copies":[[[[0,1],[1,4]]]]}'
         )
+
+
+def _blocks(sizes, k, max_size=10):
+    """Lists of weight-k blocks over `sizes`, each support drawn in shuffled
+    order; repeats allowed."""
+    def support(coords):
+        return st.tuples(*(st.tuples(st.just(c), st.integers(1, sizes[c] - 1)) for c in coords))
+
+    coords = st.lists(st.integers(0, len(sizes) - 1), min_size=k, max_size=k, unique=True)
+    return st.lists(coords.flatmap(support).map(Codeword), max_size=max_size)
+
+
+@st.composite
+def _shapes(draw):
+    sizes = tuple(draw(st.lists(st.integers(2, 5), min_size=1, max_size=6)))
+    k = draw(st.integers(1, len(sizes)))
+    return MixedAlphabet(sizes), draw(st.integers(1, k)), k
+
+
+@st.composite
+def _designs_with_classes(draw):
+    alphabet, t, k = draw(_shapes())
+    blocks = tuple(draw(_blocks(alphabet.sizes, k)))
+    meta = draw(st.text(max_size=8))
+    design = MixedDesign(alphabet, t, k, blocks, meta=meta)
+    if not (blocks and draw(st.booleans())):
+        return design, None
+    index = st.integers(0, len(blocks) - 1)
+    classes = draw(st.lists(st.lists(index, max_size=4), max_size=4))
+    return design, Resolution(tuple(tuple(c) for c in classes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_designs_with_classes())
+def test_design_json_roundtrip_is_byte_stable(case):
+    design, resolution = case
+    text = design_to_json(design, resolution)
+    parsed, parsed_resolution = design_from_json(text)
+    assert (parsed_resolution is None) == (resolution is None)
+    assert sorted(parsed.blocks) == sorted(design.blocks)
+    assert design_to_json(parsed, parsed_resolution) == text
+
+
+@st.composite
+def _large_sets(draw):
+    alphabet, t, k = draw(_shapes())
+    copies = draw(st.lists(_blocks(alphabet.sizes, k, max_size=6), max_size=4))
+    lam = draw(st.integers(1, 3))
+    return LargeSet(alphabet, t, k, tuple(map(tuple, copies)), lam=lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_large_sets())
+def test_largeset_json_roundtrip_is_byte_stable(ls):
+    text = largeset_to_json(ls)
+    parsed = largeset_from_json(text)
+    assert [sorted(c) for c in parsed.copies] == [sorted(c) for c in ls.copies]
+    assert largeset_to_json(parsed) == text
+
+
+@st.composite
+def _covers(draw):
+    n = draw(st.integers(1, 8))
+    point_block = st.lists(st.integers(0, n - 1), max_size=4).map(tuple)
+    return PartitionedCover(
+        n,
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 5)),
+        tuple(draw(st.lists(point_block, max_size=5))),
+        tuple(map(tuple, draw(st.lists(st.lists(point_block, max_size=3), max_size=3)))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_covers())
+def test_cover_json_roundtrip_is_byte_stable(cover):
+    text = cover_to_json(cover)
+    parsed = cover_from_json(text)
+    assert parsed == cover
+    assert cover_to_json(parsed) == text
+
+
+def test_every_roster_design_reads_back_unchanged():
+    for design in verified_roster():
+        parsed, resolution = design_from_json(design_to_json(design))
+        assert resolution is None
+        assert (parsed.alphabet, parsed.t, parsed.k, parsed.meta) == (
+            design.alphabet, design.t, design.k, design.meta
+        )
+        assert parsed.blocks == tuple(sorted(design.blocks))
 
 
 def test_cover_roundtrip():

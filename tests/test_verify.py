@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from design_forge import (
+    AlphabetMismatch,
     Codeword,
     DesignForgeError,
     LargeSet,
@@ -19,8 +19,6 @@ from design_forge import (
     NotAPartition,
     Resolution,
     VerificationLimitExceeded,
-    base_system,
-    combine_partition,
     construct_from_oa,
     construct_hybrid_ms,
     covers,
@@ -35,7 +33,7 @@ from design_forge import (
     verify_steiner,
 )
 from design_forge.verify import _coverage_distance
-from tests.conftest import brute_force_min_distance, build_toy_large_set
+from tests.conftest import brute_force_min_distance, build_toy_large_set, verified_roster
 
 
 def _pair_design():
@@ -120,35 +118,11 @@ def test_single_symbol_distance_matches_the_pairwise_pass():
     assert seen == {float("inf"), 0, -1}
 
 
-@cache
-def _roster() -> tuple[MixedDesign, ...]:
-    """Designs that pass coverage: MS(1, k, Q) over small alphabets, affine
-    planes, hybrids at every i, combined base systems, OA GDDs at every r."""
-    designs = []
-    for n in range(1, 6):
-        for sizes in combinations_with_replacement((2, 3, 4), n):
-            for k in (2, 3):
-                try:
-                    designs.append(ms1_construct(sizes, k))
-                except DesignForgeError:
-                    pass
-    designs += [resolvable_affine(q)[0] for q in (2, 3, 4, 5)]
-    for k in (3, 4):
-        plane, classes = resolvable_affine(k)
-        designs += [construct_hybrid_ms(plane, classes, i) for i in range(k + 2)]
-        designs.append(combine_partition(base_system(k)))
-    designs += [construct_from_oa(k, r) for k in (3, 4, 5) for r in range(1, k)]
-    # and one whose two blocks share two coordinates (distance 4 < 2k - 1)
-    shared = (Codeword(((0, 1), (2, 1), (3, 1))), Codeword(((1, 1), (2, 2), (3, 2))))
-    designs.append(MixedDesign(MixedAlphabet((2, 2, 3, 3)), 1, 3, shared))
-    return tuple(designs)
-
-
 @st.composite
 def _relabelled(draw):
     """A roster design with its coordinates permuted and the symbols of
     each coordinate relabelled."""
-    design = draw(st.sampled_from(_roster()))
+    design = draw(st.sampled_from(verified_roster()))
     sizes = design.alphabet.sizes
     perm = draw(st.permutations(range(len(sizes))))
     relabel = [draw(st.permutations(range(1, q))) for q in sizes]
@@ -172,6 +146,49 @@ def test_coverage_distance_matches_the_pairwise_pass(design):
     if design.t == 2 and set(design.alphabet.sizes) == {2}:
         assert value is not None  # every all-binary t = 2 design is settled
     assert verify_mixed_steiner(design).stats["min_distance"] == oracle
+
+
+@st.composite
+def _one_block_changed(draw):
+    """A roster design with one block deleted, duplicated, given another
+    symbol at one coordinate, or with one entry moved to a coordinate the
+    block misses; every changed block still fits the alphabet."""
+    design = draw(st.sampled_from(verified_roster()))
+    sizes = design.alphabet.sizes
+    blocks = list(design.blocks)
+    i = draw(st.integers(0, len(blocks) - 1))
+    change = draw(st.sampled_from(("delete", "duplicate", "symbol", "move")))
+    support = dict(blocks[i].support)
+    if change == "delete":
+        del blocks[i]
+    elif change == "duplicate":
+        blocks.insert(draw(st.integers(0, len(blocks))), blocks[i])
+    elif change == "symbol":
+        c = draw(st.sampled_from(sorted(support)))
+        others = [s for s in range(1, sizes[c]) if s != support[c]]
+        assume(others)
+        support[c] = draw(st.sampled_from(others))
+    else:
+        free = [c for c in range(len(sizes)) if c not in support]
+        assume(free)
+        del support[draw(st.sampled_from(sorted(support)))]
+        c = draw(st.sampled_from(free))
+        support[c] = draw(st.integers(1, sizes[c] - 1))
+    if change in ("symbol", "move"):
+        blocks[i] = Codeword(tuple(support.items()))
+    return MixedDesign(design.alphabet, design.t, design.k, tuple(blocks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_block_changed())
+def test_any_single_block_change_is_rejected_with_a_rechecked_word(design):
+    report = verify_gdd(design)
+    assert not report.ok
+    ce = report.counterexample
+    assert ce.kind == "coverage" and ce.word.weight == design.t
+    # re-check by hand: the word's true cover count on the changed design
+    count = sum(covers(b, ce.word, design.alphabet) for b in design.blocks)
+    assert count == ce.count != 1
 
 
 def test_ms_reject_names_the_least_witness_pair():
@@ -284,6 +301,23 @@ def test_verify_large_set_bad_copy():
     report = verify_large_set(LargeSet(ls.alphabet, ls.t, ls.k, (tuple(c0), tuple(c1))))
     assert not report.ok
     assert report.counterexample.kind == "copy"
+
+
+def test_large_set_refuses_unfit_blocks_and_verify_rejects_a_changed_one():
+    ls = build_toy_large_set()
+    first = ls.copies[0][0]
+    with pytest.raises(ValueError, match="weight 2, not 3"):
+        LargeSet(ls.alphabet, ls.t, ls.k, ((Codeword(first.support[:2]),), ls.copies[1]))
+    with pytest.raises(AlphabetMismatch, match="symbol 3 out of range"):
+        LargeSet(ls.alphabet, ls.t, ls.k, ((Codeword(((0, 3),) + first.support[1:]),), ls.copies[1]))
+    # a block that fits but is wrong: the word it replaced is in no copy
+    changed = Codeword(((0, 3 - first.symbol(0)),) + first.support[1:])
+    copy = (changed,) + ls.copies[0][1:]
+    report = verify_large_set(LargeSet(ls.alphabet, ls.t, ls.k, (copy, ls.copies[1])))
+    assert not report.ok
+    ce = report.counterexample
+    assert ce.kind == "multiplicity"
+    assert ce.count == sum(ce.word in set(c) for c in (copy, ls.copies[1])) != 1
 
 
 def test_verify_large_set_lambda_2():
