@@ -35,6 +35,7 @@ from .constructions import (
     largeset_to_gdd,
     ms1_construct,
     resolvable_affine,
+    validate_cover,
 )
 from .core import LargeSet, MixedDesign
 from .errors import DesignForgeError, FormatError, LargeSetInvalid
@@ -129,6 +130,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             raise ValueError("base needs --k")
         cover = base_system(args.k)
         if args.as_cover:
+            validate_cover(cover)
             _emit(args.output, cover_to_json(cover), _cover_summary(cover))
             return 0
         design = combine_partition(cover)

@@ -13,7 +13,6 @@ Conventions shared by every construction here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 from math import comb
 
 from .core import (
@@ -23,7 +22,6 @@ from .core import (
     MixedAlphabet,
     MixedDesign,
     Resolution,
-    first_miscount,
     word_count,
 )
 from .errors import (
@@ -471,39 +469,14 @@ class PartitionedCover:
 
 
 def validate_cover(cover: PartitionedCover) -> None:
-    """Check every PartitionedCover invariant; raise CoverInvariantViolated
-    with the first violation found."""
-    pts = range(cover.n)
-    for b in cover.r_blocks:
-        if len(set(b)) != cover.k or any(p not in pts for p in b):
-            raise CoverInvariantViolated(f"root block {b} is not a {cover.k}-subset")
-    seen_class_blocks: set = set()
-    for ci, cls in enumerate(cover.classes):
-        for b in cls:
-            if len(set(b)) != cover.k - 1 or any(p not in pts for p in b):
-                raise CoverInvariantViolated(
-                    f"class {ci} block {b} is not a {cover.k - 1}-subset"
-                )
-            key = frozenset(b)
-            if key in seen_class_blocks:
-                raise CoverInvariantViolated(f"block {b} appears in two classes")
-            seen_class_blocks.add(key)
-        miss = _cover_miscount(cls, cover.n, cover.t - 1)
-        if miss is not None:
-            raise CoverInvariantViolated(
-                f"class {ci} covers {miss[0]} {miss[1]} times, want exactly once"
-            )
-    miss = _cover_miscount(chain(cover.r_blocks, *cover.classes), cover.n, cover.t)
-    if miss is not None:
+    """Check every PartitionedCover invariant by combining the cover; raise
+    CoverInvariantViolated with the first violation found."""
+    try:
+        combine_partition(cover)
+    except ConstructionFailed as exc:
         raise CoverInvariantViolated(
-            f"{cover.t}-subset {miss[0]} covered {miss[1]} times, want exactly once"
-        )
-
-
-def _cover_miscount(blocks, n: int, t: int):
-    """first_miscount over the t-subsets of range(n) held by the blocks."""
-    subsets = [s for b in blocks for s in combinations(sorted(b), t)]
-    return first_miscount(subsets, comb(n, t), lambda: combinations(range(n), t))
+            f"cover fails as a combined design: {exc.report.counterexample.detail}"
+        ) from None
 
 
 def base_system(k: int) -> PartitionedCover:
@@ -534,17 +507,32 @@ def base_system(k: int) -> PartitionedCover:
 def combine_partition(cover: PartitionedCover) -> MixedDesign:
     """MS(t, k, Z_2^n x Z_{r+1}) from a cover with r classes: R blocks kept
     binary; every block of class i (1-based) gets symbol i appended at the
-    new last coordinate.  Cover invariants are re-checked first."""
-    validate_cover(cover)
-    return _combine(cover, f"combined cover n={cover.n} r={len(cover.classes)}")
-
-
-def _combine(cover: PartitionedCover, meta: str) -> MixedDesign:
-    """combine_partition without the cover check.  The output check at
-    distance 2(k - t) + 1 re-derives every cover invariant: its binary
-    t-words are the t-subsets, and its words through the last coordinate
-    with symbol i are the (t-1)-subsets of class i."""
+    new last coordinate.  Its weight-t words are held to the word ceiling
+    first; then CoverInvariantViolated refuses the shapes the output check
+    cannot see: block sizes, points outside range(n) (point n aliases the
+    new coordinate), and a block in two classes (unseen at t = k)."""
     alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
+    _within_ceiling(word_count(alphabet, cover.t), f"weight-{cover.t} words", _word_ceiling(None))
+    pts = range(cover.n)
+    for b in cover.r_blocks:
+        if len(set(b)) != cover.k or any(p not in pts for p in b):
+            raise CoverInvariantViolated(f"root block {b} is not a {cover.k}-subset")
+    seen: set = set()
+    for ci, cls in enumerate(cover.classes):
+        for b in cls:
+            if len(set(b)) != cover.k - 1 or any(p not in pts for p in b):
+                raise CoverInvariantViolated(f"class {ci} block {b} is not a {cover.k - 1}-subset")
+            if frozenset(b) in seen:
+                raise CoverInvariantViolated(f"block {b} appears in two classes")
+            seen.add(frozenset(b))
+    return _combine(cover, alphabet, f"combined cover n={cover.n} r={len(cover.classes)}")
+
+
+def _combine(cover: PartitionedCover, alphabet: MixedAlphabet, meta: str) -> MixedDesign:
+    """combine_partition without its shape checks.  The output check at
+    distance 2(k - t) + 1 counts every exactly-once cover invariant: the
+    binary t-words are the t-subsets, the words through symbol i at the last
+    coordinate are the (t-1)-subsets of class i."""
     blocks = [Codeword(tuple((p, 1) for p in sorted(b))) for b in cover.r_blocks]
     for ci, cls in enumerate(cover.classes, start=1):
         for b in cls:
@@ -685,9 +673,11 @@ def construct_hybrid_ms(
         plan = ReplacePlan.first(len(resolution.classes), plan)
     points = (design.k - 1) * design.alphabet.n
     symbols = design.alphabet.n - (design.k - 1) * plan.replace_count
-    _within_ceiling(comb(points, 2) + points * symbols, "weight-2 words", _word_ceiling(None))
+    alphabet = MixedAlphabet((2,) * points + (symbols + 1,))
+    _within_ceiling(word_count(alphabet, 2), "weight-2 words", _word_ceiling(None))
     return _combine(
         expand_design(design, resolution, plan),
+        alphabet,
         f"hybrid k={design.k} n={design.alphabet.n} replaced={plan.replace_count}",
     )
 

@@ -68,9 +68,12 @@ class MixedAlphabet:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(self.sizes)
         if not sizes:
             raise ValueError("alphabet needs at least one coordinate")
+        bad = [s for s in sizes if type(s) is not int]
+        if bad:
+            raise ValueError(f"alphabet size must be an int, got {bad[0]!r}")
         if any(s < 2 for s in sizes):
             raise ValueError(f"every alphabet size must be >= 2, got {sizes}")
         object.__setattr__(self, "sizes", sizes)
@@ -159,9 +162,11 @@ class Resolution:
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "classes", tuple(tuple(int(i) for i in c) for c in self.classes)
-        )
+        classes = tuple(tuple(c) for c in self.classes)
+        bad = [i for c in classes for i in c if type(i) is not int]
+        if bad:
+            raise ValueError(f"class entry must be a block index (int), got {bad[0]!r}")
+        object.__setattr__(self, "classes", classes)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from itertools import combinations
 from .core import (
     Codeword,
     LargeSet,
+    MixedAlphabet,
     MixedDesign,
     Resolution,
     first_miscount,
@@ -95,16 +96,15 @@ class BoundCheck:
         return max(self.hole_bound, self.group_bound)
 
 
-def _coverage_counterexample(design: MixedDesign, ceiling: int) -> tuple[
+def _coverage_counterexample(alphabet: MixedAlphabet, t: int, blocks, ceiling: int) -> tuple[
     Counterexample | None, int
 ]:
-    """Exactly-once coverage of every weight-t word by the blocks, counted
-    over the blocks' weight-t subwords (O(blocks * C(k, t))) against the
-    closed-form total; only the violator becomes a Codeword."""
-    t = design.t
-    total = _within_ceiling(word_count(design.alphabet, t), f"weight-{t} words", ceiling)
-    subwords = [w for b in design.blocks for w in combinations(b.support, t)]
-    bad = first_miscount(subwords, total, lambda: word_supports(design.alphabet, t))
+    """Exactly-once coverage of every weight-t word over the alphabet by the
+    blocks, counted over the blocks' weight-t subwords (O(blocks * C(k, t)))
+    against the closed-form total; only the violator becomes a Codeword."""
+    total = _within_ceiling(word_count(alphabet, t), f"weight-{t} words", ceiling)
+    subwords = [w for b in blocks for w in combinations(b.support, t)]
+    bad = first_miscount(subwords, total, lambda: word_supports(alphabet, t))
     if bad is None:
         return None, total
     support, c = bad
@@ -169,7 +169,7 @@ def _verify_design(design: MixedDesign, required: int | None, ceiling: int) -> V
     The claim is "gdd" unless the distance clause of a mixed Steiner system
     (required >= 2(k - t) + 1) was checked.  Both public design checks and
     the constructors' check of their own output share this body."""
-    bad, total = _coverage_counterexample(design, ceiling)
+    bad, total = _coverage_counterexample(design.alphabet, design.t, design.blocks, ceiling)
     stats = {
         "blocks": len(design.blocks),
         "words": total,
@@ -225,7 +225,9 @@ def verify_steiner(
     expected = math.comb(n, t) // math.comb(k, t)
     stats["expected_blocks"] = expected
     stats["block_count_matches"] = len(design.blocks) == expected
-    bad, total = _coverage_counterexample(design, _word_ceiling(max_words))
+    bad, total = _coverage_counterexample(
+        design.alphabet, design.t, design.blocks, _word_ceiling(max_words)
+    )
     stats["words"] = total
     return VerificationReport(bad is None, "steiner", bad, stats)
 
@@ -265,11 +267,10 @@ def verify_resolution(design: MixedDesign, resolution: Resolution) -> Verificati
 
 def verify_large_set(ls: LargeSet, max_words: int | None = None) -> VerificationReport:
     """Large-set check: every weight-k word over the alphabet is a block of
-    exactly lam copies, and each copy separately passes the GDD check at
-    strength t."""
-    total = _within_ceiling(
-        word_count(ls.alphabet, ls.k), f"weight-{ls.k} words", _word_ceiling(max_words)
-    )
+    exactly lam copies, and each copy separately covers every weight-t word
+    once (the GDD check at strength t, which needs 1 <= t <= k)."""
+    ceiling = _word_ceiling(max_words)
+    total = _within_ceiling(word_count(ls.alphabet, ls.k), f"weight-{ls.k} words", ceiling)
     stats = {
         "copies": len(ls.copies),
         "lambda": ls.lam,
@@ -288,16 +289,16 @@ def verify_large_set(ls: LargeSet, max_words: int | None = None) -> Verification
             count=c,
         )
         return VerificationReport(False, "large-set", bad, stats)
+    if not 1 <= ls.t <= ls.k:
+        raise ValueError(f"need 1 <= t <= k, got t={ls.t} k={ls.k}")
     for ci, copy in enumerate(ls.copies):
-        rep = verify_gdd(
-            MixedDesign(ls.alphabet, ls.t, ls.k, copy), max_words=max_words
-        )
-        if not rep.ok:
+        ce, _ = _coverage_counterexample(ls.alphabet, ls.t, copy, ceiling)
+        if ce is not None:
             bad = Counterexample(
                 kind="copy",
-                detail=f"copy {ci} fails the GDD check: {rep.counterexample.detail}",
-                word=rep.counterexample.word,
-                count=rep.counterexample.count,
+                detail=f"copy {ci} fails the GDD check: {ce.detail}",
+                word=ce.word,
+                count=ce.count,
                 class_index=ci,
             )
             return VerificationReport(False, "large-set", bad, stats)

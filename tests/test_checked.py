@@ -153,17 +153,28 @@ def test_resolvable_affine_refuses_a_bad_resolution(monkeypatch, checked):
     assert seen.count(ce.coordinate) == ce.count != 1
 
 
-def test_combine_partition_refuses_a_tampered_cover(monkeypatch, checked):
+def _moved_point_cover() -> PartitionedCover:
+    """base_system(4) with one point of its first root block moved."""
     cover = base_system(4)
     r_blocks = list(cover.r_blocks)
-    first = r_blocks[0]
-    r_blocks[0] = first[:-1] + (r_blocks[1][0],)  # one point moved
-    bad = PartitionedCover(cover.n, cover.t, cover.k, tuple(r_blocks), cover.classes)
-    # the input check would refuse it first; the output check must as well
-    monkeypatch.setattr(constructions, "validate_cover", lambda cover: None)
+    r_blocks[0] = r_blocks[0][:-1] + (r_blocks[1][0],)
+    return PartitionedCover(cover.n, cover.t, cover.k, tuple(r_blocks), cover.classes)
+
+
+def test_combine_partition_refuses_a_tampered_cover(checked):
     with pytest.raises(ConstructionFailed) as err:
-        combine_partition(bad)
+        combine_partition(_moved_point_cover())
     _recheck(checked[-1], err.value.report)
+
+
+def test_construct_as_cover_refuses_a_tampered_cover(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "base_system", lambda k: _moved_point_cover())
+    out = tmp_path / "cover.json"
+    argv = ["construct", "--family", "base", "--k", "4", "--as-cover", "-o", str(out)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: cover fails as a combined design: word ")
 
 
 def test_construct_hybrid_ms_refuses_a_tampered_cover(monkeypatch, checked):
@@ -265,6 +276,22 @@ def test_construct_from_oa_fails_fast_on_the_word_ceiling(monkeypatch):
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "114")
     with pytest.raises(AssertionError, match="oa_square ran"):
         construct_from_oa(4, 3)
+
+
+def test_combine_partition_fails_fast_on_the_word_ceiling(monkeypatch):
+    cover = base_system(4)
+
+    def no_block(support):
+        raise AssertionError("a block was built before the ceiling check")
+
+    monkeypatch.setattr(constructions, "Codeword", no_block)
+    # Z_2^12 x Z_5: C(12, 2) + 12 * 4 = 114 weight-2 words
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "113")
+    with pytest.raises(VerificationLimitExceeded, match="114 weight-2 words"):
+        combine_partition(cover)
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "114")
+    with pytest.raises(AssertionError, match="a block was built"):
+        combine_partition(cover)
 
 
 def test_the_ceiling_bounds_construct(monkeypatch):

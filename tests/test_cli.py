@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -163,6 +165,30 @@ def test_construct_oa_gdd_fails_fast_on_the_word_ceiling():
     assert result.stdout == ""
 
 
+def _limit_memory_to_1_gb():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("extra", [[], ["--as-cover"]])
+def test_construct_base_128_fails_fast_within_1_gb(tmp_path, extra):
+    # 127 x 128 class blocks of 127 points: the combined design's words are
+    # refused from its alphabet before any block is listed
+    env = {k: v for k, v in os.environ.items() if k != "DESIGN_FORGE_MAX_WORDS"}
+    out = tmp_path / "base.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "design_forge.cli", "construct", "--family", "base",
+         "--k", "128", *extra, "-o", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_memory_to_1_gb,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert "134201408 weight-2 words exceed the ceiling 100000000" in result.stderr
+    assert not out.exists()
+
+
 def test_hybrid_rejects_design_without_classes(tmp_path):
     bare = tmp_path / "bare.json"
     run_cli("construct", "--family", "base", "--k", "3", "-o", str(bare))
@@ -271,6 +297,16 @@ def test_transform_roundtrip(tmp_path):
     back = run_cli("transform", "gdd-to-ls", str(gdd_path))
     assert back.returncode == 0
     assert back.stdout == ls_path.read_text()
+
+
+@pytest.mark.parametrize("t", [0, 4])
+def test_verify_largeset_refuses_t_outside_1_to_k(tmp_path, t):
+    path = tmp_path / "ls.json"
+    path.write_text(largeset_to_json(build_toy_large_set()))  # k = 3
+    result = run_cli("verify", "--claim", "largeset", "--t", str(t), str(path))
+    assert result.returncode == 2
+    assert result.stderr == f"error: need 1 <= t <= k, got t={t} k=3\n"
+    assert result.stdout == ""
 
 
 def test_transform_rejects_corrupt_large_set(tmp_path):

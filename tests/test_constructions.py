@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -11,6 +12,7 @@ from design_forge import (
     ConstructionFailed,
     CoverInvariantViolated,
     Infeasible,
+    MixedAlphabet,
     NoSuchSystem,
     NotPrimePower,
     PartitionedCover,
@@ -24,6 +26,7 @@ from design_forge import (
     ms1_construct,
     ms1_feasible,
     validate_cover,
+    verify,
     verify_gdd,
     verify_mixed_steiner,
 )
@@ -317,6 +320,50 @@ def test_validate_cover_rejects_double_coverage():
     with pytest.raises(CoverInvariantViolated) as err:
         validate_cover(bad)
     assert "covered 2 times" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "cover, message",
+    [
+        # t = k: both classes list every singleton, so each class block
+        # combines to a distinct word and coverage counts each once
+        (
+            PartitionedCover(3, 2, 2, ((0, 1), (0, 2), (1, 2)), (((0,), (1,), (2,)),) * 2),
+            "block (0,) appears in two classes",
+        ),
+        # point n = 3 is the new coordinate: root block (2, 3) combines to
+        # the class-1 block {2} that the class leaves out
+        (
+            PartitionedCover(3, 2, 2, ((0, 1), (0, 2), (1, 2), (2, 3)), (((0,), (1,)),)),
+            "root block (2, 3) is not a 2-subset",
+        ),
+    ],
+)
+def test_shape_checks_refuse_what_the_combined_design_hides(cover, message):
+    alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
+    assert constructions._combine(cover, alphabet, "unchecked").report.ok
+    for check in (combine_partition, validate_cover):
+        with pytest.raises(CoverInvariantViolated, match=re.escape(message)):
+            check(cover)
+
+
+@pytest.mark.parametrize("k", [4, 9])
+def test_a_cover_is_counted_once(monkeypatch, k):
+    calls = []
+    real = verify.first_miscount
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    # every module that could count the cover's subsets
+    for module in (constructions, verify):
+        monkeypatch.setattr(module, "first_miscount", spy, raising=False)
+    cover = base_system(k)
+    combine_partition(cover)
+    assert len(calls) == 1
+    validate_cover(cover)
+    assert len(calls) == 2
 
 
 # ------------------------------------------- reference data cross-checks

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 from itertools import combinations, product
 
@@ -17,6 +18,7 @@ from design_forge import (
     GddType,
     MixedAlphabet,
     MixedDesign,
+    Resolution,
     construct_hybrid_ms,
     covers,
     enumerate_t_words,
@@ -62,6 +64,19 @@ def test_codeword_accepts_only_int_pairs(entry):
 def test_codeword_takes_lists_and_stores_sorted_tuples():
     # the JSON reader hands Codeword the lists it parsed
     assert Codeword([[3, 1], [0, 2]]).support == ((0, 2), (3, 1))
+
+
+@pytest.mark.parametrize("size", [3.7, "2", True, None])
+def test_alphabet_accepts_only_int_sizes(size):
+    with pytest.raises(ValueError, match=re.escape(f"alphabet size must be an int, got {size!r}")):
+        MixedAlphabet((2, size))
+
+
+@pytest.mark.parametrize("index", [1.9, "1", True, None])
+def test_resolution_accepts_only_int_indices(index):
+    message = f"class entry must be a block index (int), got {index!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Resolution(((0, index),))
 
 
 def test_alphabet_validation():
