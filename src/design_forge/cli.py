@@ -20,6 +20,7 @@ and failed, 2 = bad input or infeasible parameters, 3 = unexpected error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from collections import Counter
 from pathlib import Path
@@ -331,6 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Blocks, designs and reports hold no reference cycles, so while a
+    # command runs the cyclic collector would only rescan them.  It is
+    # paused here, not in the library, whose callers own that global setting.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except LargeSetInvalid as exc:
@@ -342,6 +348,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -483,9 +483,13 @@ def base_system(k: int) -> PartitionedCover:
     """Cover on Z_k x Z_{k-1} (flattened): R holds the k-1 cross-sections
     {(0,j)..(k-1,j)}; class 0 holds the k columns {i} x Z_{k-1}; classes
     1..k-1 come from the non-constant rows of OA(2, k, k) grouped by
-    multiplier, each row contributing its cells with symbol k-1 omitted."""
+    multiplier, each row contributing its cells with symbol k-1 omitted.
+    The k classes combine over Z_2^{k(k-1)} x Z_{k+1}, whose weight-2 words
+    are held to the word ceiling before the array is built."""
     if k < 3:
         raise ValueError("k must be >= 3")
+    combined = MixedAlphabet((2,) * (k * (k - 1)) + (k + 1,))
+    _within_ceiling(word_count(combined, 2), "weight-2 words", _word_ceiling(None))
     array = oa_square(k)  # raises NotPrimePower for bad k
     w = k - 1
 
@@ -510,21 +514,23 @@ def combine_partition(cover: PartitionedCover) -> MixedDesign:
     new last coordinate.  Its weight-t words are held to the word ceiling
     first; then CoverInvariantViolated refuses the shapes the output check
     cannot see: block sizes, points outside range(n) (point n aliases the
-    new coordinate), and a block in two classes (unseen at t = k)."""
+    new coordinate), and a class block listed twice (unseen at t = k)."""
     alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
     _within_ceiling(word_count(alphabet, cover.t), f"weight-{cover.t} words", _word_ceiling(None))
     pts = range(cover.n)
     for b in cover.r_blocks:
         if len(set(b)) != cover.k or any(p not in pts for p in b):
             raise CoverInvariantViolated(f"root block {b} is not a {cover.k}-subset")
-    seen: set = set()
+    seen: dict = {}  # block -> index of the class that first listed it
     for ci, cls in enumerate(cover.classes):
         for b in cls:
             if len(set(b)) != cover.k - 1 or any(p not in pts for p in b):
                 raise CoverInvariantViolated(f"class {ci} block {b} is not a {cover.k - 1}-subset")
-            if frozenset(b) in seen:
-                raise CoverInvariantViolated(f"block {b} appears in two classes")
-            seen.add(frozenset(b))
+            key = frozenset(b)
+            if key in seen:
+                where = f"twice in class {ci}" if seen[key] == ci else "in two classes"
+                raise CoverInvariantViolated(f"block {b} appears {where}")
+            seen[key] = ci
     return _combine(cover, alphabet, f"combined cover n={cover.n} r={len(cover.classes)}")
 
 

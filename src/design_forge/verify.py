@@ -268,7 +268,10 @@ def verify_resolution(design: MixedDesign, resolution: Resolution) -> Verificati
 def verify_large_set(ls: LargeSet, max_words: int | None = None) -> VerificationReport:
     """Large-set check: every weight-k word over the alphabet is a block of
     exactly lam copies, and each copy separately covers every weight-t word
-    once (the GDD check at strength t, which needs 1 <= t <= k)."""
+    once (the GDD check at strength t, which needs 1 <= t <= k, so any
+    other t is refused before anything is counted)."""
+    if not 1 <= ls.t <= ls.k:
+        raise ValueError(f"need 1 <= t <= k, got t={ls.t} k={ls.k}")
     ceiling = _word_ceiling(max_words)
     total = _within_ceiling(word_count(ls.alphabet, ls.k), f"weight-{ls.k} words", ceiling)
     stats = {
@@ -289,8 +292,6 @@ def verify_large_set(ls: LargeSet, max_words: int | None = None) -> Verification
             count=c,
         )
         return VerificationReport(False, "large-set", bad, stats)
-    if not 1 <= ls.t <= ls.k:
-        raise ValueError(f"need 1 <= t <= k, got t={ls.t} k={ls.k}")
     for ci, copy in enumerate(ls.copies):
         ce, _ = _coverage_counterexample(ls.alphabet, ls.t, copy, ceiling)
         if ce is not None:

@@ -278,6 +278,27 @@ def test_construct_from_oa_fails_fast_on_the_word_ceiling(monkeypatch):
         construct_from_oa(4, 3)
 
 
+def test_base_system_fails_fast_on_the_word_ceiling(monkeypatch):
+    def no_array(k):
+        raise AssertionError("oa_square ran before the ceiling check")
+
+    monkeypatch.setattr(constructions, "oa_square", no_array)
+    monkeypatch.delenv("DESIGN_FORGE_MAX_WORDS", raising=False)
+    # k = 128 combines over Z_2^16256 x Z_129: C(16256, 2) + 16256 * 128 words
+    with pytest.raises(
+        VerificationLimitExceeded,
+        match="134201408 weight-2 words exceed the ceiling 100000000",
+    ):
+        base_system(128)
+    # k = 4 combines over Z_2^12 x Z_5: C(12, 2) + 12 * 4 = 114 words
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "113")
+    with pytest.raises(VerificationLimitExceeded, match="114 weight-2 words"):
+        base_system(4)
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "114")
+    with pytest.raises(AssertionError, match="oa_square ran"):
+        base_system(4)
+
+
 def test_combine_partition_fails_fast_on_the_word_ceiling(monkeypatch):
     cover = base_system(4)
 

@@ -1,16 +1,19 @@
-"""End-to-end command-line checks, driven through subprocess."""
+"""End-to-end command-line checks, driven through subprocess; the
+collector checks call cli.main in this process."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import resource
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
-from design_forge import largeset_to_json
+from design_forge import Codeword, LargeSet, MixedAlphabet, cli, largeset_to_json
 from tests.conftest import build_toy_large_set
 
 
@@ -309,6 +312,30 @@ def test_verify_largeset_refuses_t_outside_1_to_k(tmp_path, t):
     assert result.stdout == ""
 
 
+def _sum_large_set(g: int, t: int) -> LargeSet:
+    """LH(t+1, g, t+1, t): copy j holds the transversal words over
+    Z_{g+1}^{t+1} whose symbol sum is j mod g."""
+    copies: list[list[Codeword]] = [[] for _ in range(g)]
+    for syms in product(range(1, g + 1), repeat=t + 1):
+        copies[sum(syms) % g].append(Codeword(tuple(enumerate(syms))))
+    return LargeSet(MixedAlphabet((g + 1,) * (t + 1)), t, t + 1, copies)
+
+
+@pytest.mark.parametrize("t", [0, 5])
+@pytest.mark.parametrize("deleted", [False, True])
+def test_verify_largeset_refuses_t_before_counting(tmp_path, t, deleted):
+    # a deleted block fails the multiplicity count, which must not run first
+    ls = _sum_large_set(10, 3)  # LH(4,10,4,3)
+    if deleted:
+        ls = LargeSet(ls.alphabet, ls.t, ls.k, (ls.copies[0][1:],) + ls.copies[1:])
+    path = tmp_path / "ls.json"
+    path.write_text(largeset_to_json(ls))
+    result = run_cli("verify", "--claim", "largeset", "--t", str(t), str(path))
+    assert result.returncode == 2
+    assert result.stderr == f"error: need 1 <= t <= k, got t={t} k=4\n"
+    assert result.stdout == ""
+
+
 def test_transform_rejects_corrupt_large_set(tmp_path):
     ls = build_toy_large_set()
     corrupt = type(ls)(ls.alphabet, ls.t, ls.k, (ls.copies[0], ls.copies[0]), lam=ls.lam)
@@ -410,3 +437,64 @@ def test_construct_missing_family_parameter_exits_2():
     result = run_cli("construct", "--family", "ms1", "--k", "3")
     assert result.returncode == 2
     assert "needs --alphabet" in result.stderr
+
+
+# ---------------------------------------------- the collector around a command
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+@pytest.mark.parametrize(
+    "case, want", [("ok", 0), ("fails", 1), ("missing", 2), ("usage", SystemExit), ("crash", 3)]
+)
+def test_main_restores_the_callers_collector_state(
+    tmp_path, monkeypatch, capsys, caller_enabled, case, want
+):
+    design = tmp_path / "design.json"
+    built = ["construct", "--family", "hybrid", "--k", "3", "--i", "4", "-o", str(design)]
+    if case == "fails":
+        assert cli.main(built) == 0
+        data = json.loads(design.read_text())
+        del data["blocks"][0]
+        design.write_text(json.dumps(data))
+    argv = {
+        "ok": built,
+        "fails": ["verify", "--claim", "ms", str(design)],
+        "missing": ["verify", "--claim", "ms", str(tmp_path / "missing.json")],
+        "usage": ["construct"],
+        "crash": ["catalog"],
+    }[case]
+    during = []
+
+    def crash(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_catalog", crash)
+    before = gc.isenabled()
+    (gc.enable if caller_enabled else gc.disable)()
+    try:
+        if want is SystemExit:
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == want
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert after is caller_enabled
+    if case == "crash":
+        assert during == [False]
+        assert "unexpected error: boom" in capsys.readouterr().err
+
+
+def test_a_command_leaves_no_cycles_that_grow_with_its_blocks(tmp_path, capsys):
+    # hybrid k = 5 has 745 blocks and k = 8 has 4600; what the collector
+    # finds afterwards is the argparse parser, the same at every k
+    unreachable = {}
+    for k in (5, 8):
+        gc.collect()
+        out = tmp_path / f"k{k}.json"
+        assert cli.main(["construct", "--family", "hybrid", "--k", str(k), "--i", "0", "-o", str(out)]) == 0
+        unreachable[k] = gc.collect()
+    assert "4600 blocks" in capsys.readouterr().out
+    assert unreachable[8] <= unreachable[5] + 100

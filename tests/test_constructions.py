@@ -300,6 +300,20 @@ def test_validate_cover_rejects_duplicate_class_block():
     assert "two classes" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "into, message",
+    [(1, "block (0, 3) appears twice in class 1"), (2, "block (0, 3) appears in two classes")],
+    ids=["one-class", "two-classes"],
+)
+def test_combine_partition_names_where_a_class_block_repeats(into, message):
+    good = _small_cover()
+    classes = list(good.classes)
+    classes[into] += (good.classes[1][0],)
+    bad = PartitionedCover(good.n, good.t, good.k, good.r_blocks, tuple(classes))
+    with pytest.raises(CoverInvariantViolated, match=re.escape(message)):
+        combine_partition(bad)
+
+
 def test_validate_cover_rejects_broken_class():
     good = _small_cover()
     # replace one block of class 1 by a copy of another block from class 0:
