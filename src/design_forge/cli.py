@@ -20,6 +20,7 @@ and failed, 2 = bad input or infeasible parameters, 3 = unexpected error.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 from collections import Counter
@@ -255,6 +256,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="design-forge",
@@ -282,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--as-cover", action="store_true", help="emit the uncombined cover (base)"
     )
     c.add_argument("-o", "--output", help="write the design here instead of stdout")
-    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="check a claimed design, report JSON, exit 0/1")
     v.add_argument(
@@ -301,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("-o", "--output", help="write the report here instead of stdout")
     v.add_argument("file", help="design/large-set JSON or OA text")
-    v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("transform", help="move between large sets and hole GDDs")
     t.add_argument("direction", choices=["ls-to-gdd", "gdd-to-ls"])
@@ -310,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--hole", type=int, help="hole coordinate (gdd-to-ls; default: last)"
     )
     t.add_argument("-o", "--output", help="write here instead of stdout")
-    t.set_defaults(func=cmd_transform)
 
     o = sub.add_parser("oa", help="emit an orthogonal array as text")
     o.add_argument("--kind", required=True, choices=["square", "extended", "sum"])
@@ -318,27 +317,28 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--t", type=int, help="strength (sum)")
     o.add_argument("--k", type=int, help="alphabet size (sum)")
     o.add_argument("-o", "--output", help="write here instead of stdout")
-    o.set_defaults(func=cmd_oa)
 
     g = sub.add_parser("catalog", help="list GDDs derivable from known large sets")
     g.add_argument("--g-max", type=int, default=13, help="largest group size (from 2)")
     g.add_argument("--h-max", type=int, default=4, help="largest scale factor (from 1)")
     g.add_argument("--ell-max", type=int, default=3, help="largest exponent (from 1)")
     g.add_argument("-o", "--output", help="write here instead of stdout")
-    g.set_defaults(func=cmd_catalog)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up at each call: the parser is cached, and must not pin the
+    # cmd_* functions that existed when it was built.
+    command = globals()[f"cmd_{args.command}"]
     # Blocks, designs and reports hold no reference cycles, so while a
     # command runs the cyclic collector would only rescan them.  It is
     # paused here, not in the library, whose callers own that global setting.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return command(args)
     except LargeSetInvalid as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
@@ -346,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"unexpected error: {exc}", file=sys.stderr)
+        print(f"unexpected error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     finally:
         if gc_was_enabled:

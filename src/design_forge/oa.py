@@ -48,7 +48,9 @@ def mols_complete(q: int) -> list[LatinSquare]:
 
 
 def oa_square(q: int) -> OrthogonalArray:
-    """OA(2, q, q): row (a, b) holds a*x_i + b at column i for x_i = i in GF(q)."""
+    """OA(2, q, q): row (a, b) holds a*x_i + b at column i for x_i = i in GF(q).
+    Its q^2 x q entries are held to the word ceiling before the field is built."""
+    _within_ceiling(q * q * q, "array entries", _word_ceiling(None))
     f = field_create(q)
     rows = tuple(
         tuple(f.add(f.mul(a, x), b) for x in range(q))
@@ -59,7 +61,9 @@ def oa_square(q: int) -> OrthogonalArray:
 
 def oa_extended(q: int) -> OrthogonalArray:
     """OA(2, q+1, q): oa_square(q) rows with the multiplier a appended as an
-    extra last column."""
+    extra last column.  Its q^2 x (q+1) entries are held to the word ceiling
+    before the field is built."""
+    _within_ceiling(q * q * (q + 1), "array entries", _word_ceiling(None))
     f = field_create(q)
     rows = tuple(
         tuple(f.add(f.mul(a, x), b) for x in range(q)) + (a,)
@@ -70,11 +74,13 @@ def oa_extended(q: int) -> OrthogonalArray:
 
 def oa_sum(t: int, k: int) -> OrthogonalArray:
     """OA(t-1, t, k) over Z_k: all (t-1)-tuples in lexicographic order, each
-    with -(sum of the tuple) mod k appended."""
+    with -(sum of the tuple) mod k appended.  Its k^(t-1) x t entries are
+    held to the word ceiling before any row is built."""
     if t < 2:
         raise ValueError("t must be >= 2")
     if k < 2:
         raise ValueError("k must be >= 2")
+    _within_ceiling(k ** (t - 1) * t, "array entries", _word_ceiling(None))
     rows = tuple(
         tup + ((-sum(tup)) % k,) for tup in product(range(k), repeat=t - 1)
     )

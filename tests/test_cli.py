@@ -1,5 +1,5 @@
 """End-to-end command-line checks, driven through subprocess; the
-collector checks call cli.main in this process."""
+collector and parser checks call cli.main in this process."""
 
 from __future__ import annotations
 
@@ -189,6 +189,32 @@ def test_construct_base_128_fails_fast_within_1_gb(tmp_path, extra):
     )
     assert result.returncode == 2
     assert "134201408 weight-2 words exceed the ceiling 100000000" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "square", "--q", "2048"], "8589934592 array entries exceed the ceiling 100000000"),
+        (["--kind", "extended", "--q", "1024"], "1074790400 array entries exceed the ceiling 100000000"),
+        (["--kind", "sum", "--t", "12", "--k", "10"], "1200000000000 array entries exceed the ceiling 100000000"),
+        (["--kind", "square", "--q", "6"], "6 is not a prime power"),
+    ],
+)
+def test_oa_fails_fast_within_1_gb(tmp_path, argv, message):
+    # rows x columns entries are refused before a field table or row exists
+    env = {k: v for k, v in os.environ.items() if k != "DESIGN_FORGE_MAX_WORDS"}
+    out = tmp_path / "array.oa"
+    result = subprocess.run(
+        [sys.executable, "-m", "design_forge.cli", "oa", *argv, "-o", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_memory_to_1_gb,
+        timeout=20,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -488,8 +514,11 @@ def test_main_restores_the_callers_collector_state(
 
 
 def test_a_command_leaves_no_cycles_that_grow_with_its_blocks(tmp_path, capsys):
-    # hybrid k = 5 has 745 blocks and k = 8 has 4600; what the collector
-    # finds afterwards is the argparse parser, the same at every k
+    # hybrid k = 5 has 745 blocks and k = 8 has 4600.  The warm-up call
+    # builds the process's one parser, so what the collector finds after
+    # each later command is what that command left in cycles
+    warm_up = ["construct", "--family", "hybrid", "--k", "3", "--i", "0", "-o", str(tmp_path / "k3.json")]
+    assert cli.main(warm_up) == 0
     unreachable = {}
     for k in (5, 8):
         gc.collect()
@@ -497,4 +526,70 @@ def test_a_command_leaves_no_cycles_that_grow_with_its_blocks(tmp_path, capsys):
         assert cli.main(["construct", "--family", "hybrid", "--k", str(k), "--i", "0", "-o", str(out)]) == 0
         unreachable[k] = gc.collect()
     assert "4600 blocks" in capsys.readouterr().out
-    assert unreachable[8] <= unreachable[5] + 100
+    assert unreachable[8] == unreachable[5] < 50
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [(RuntimeError("boom"), "unexpected error: boom"), (MemoryError(), "unexpected error: MemoryError")],
+)
+def test_an_unexpected_error_is_named_even_without_text(monkeypatch, capsys, exc, line):
+    def crash(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_catalog", crash)
+    assert cli.main(["catalog"]) == 3
+    assert capsys.readouterr().err == line + "\n"
+
+
+# ------------------------------------------------- one parser per process
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_command_replaced_after_the_parser_is_built_is_the_one_that_runs(
+    monkeypatch, capsys
+):
+    argv = ["catalog", "--g-max", "2", "--h-max", "1", "--ell-max", "1"]
+    assert cli.main(argv) == 0
+    original = capsys.readouterr().out
+    ran = []
+    monkeypatch.setattr(cli, "cmd_catalog", lambda args: ran.append(args.g_max) or 0)
+    assert cli.main(argv) == 0
+    assert ran == [2]
+    assert capsys.readouterr().out == ""
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == original
+
+
+def test_an_option_left_out_takes_its_default_again(capsys):
+    hybrid = ["construct", "--family", "hybrid", "--k", "3"]
+    assert cli.main([*hybrid, "--i", "4"]) == 0
+    capsys.readouterr()
+    assert cli.main(hybrid) == 0
+    again = capsys.readouterr()
+    fresh = run_cli(*hybrid, "--i", "0")
+    assert (again.out, again.err) == (fresh.stdout, fresh.stderr)
+
+
+def test_verify_without_t_reads_the_files_t_after_an_override(tmp_path, capsys):
+    design = tmp_path / "design.json"
+    assert cli.main(["construct", "--family", "hybrid", "--k", "3", "--i", "4", "-o", str(design)]) == 0
+    assert cli.main(["verify", "--claim", "ms", "--t", "1", str(design)]) == 1
+    capsys.readouterr()
+    assert cli.main(["verify", "--claim", "ms", str(design)]) == 0
+    report = capsys.readouterr().out
+    assert json.loads(report)["stats"]["t"] == 2
+    assert report == run_cli("verify", "--claim", "ms", str(design)).stdout
+
+
+def test_a_usage_error_leaves_the_next_call_unharmed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct"])
+    assert exc.value.code == 2
+    assert "required: --family" in capsys.readouterr().err
+    assert cli.main(["construct", "--family", "ms1", "--alphabet", "2,2,2,2,3", "--k", "3"]) == 0
+    assert capsys.readouterr().err.startswith("t=1 k=3 ")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import design_forge.oa as oa_module
 from design_forge import (
     NotPrimePower,
     OrthogonalArray,
@@ -81,6 +82,45 @@ def test_oa_sum_rejects_bad_parameters():
         oa_sum(1, 3)
     with pytest.raises(ValueError):
         oa_sum(3, 1)
+
+
+@pytest.mark.parametrize(
+    "build, args, entries",
+    [(oa_square, (3,), 27), (oa_extended, (3,), 36), (oa_sum, (3, 4), 48)],
+)
+def test_oa_entries_are_held_to_the_ceiling(monkeypatch, build, args, entries):
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", str(entries - 1))
+    with pytest.raises(
+        VerificationLimitExceeded,
+        match=f"^{entries} array entries exceed the ceiling {entries - 1}$",
+    ):
+        build(*args)
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", str(entries))
+    array = build(*args)
+    assert len(array.rows) * array.columns == entries
+
+
+def _built(*args):
+    raise AssertionError("a field table or row was built before the ceiling check")
+
+
+@pytest.mark.parametrize(
+    "build, args, entries",
+    [
+        (oa_square, (2048,), 2048**3),
+        (oa_extended, (1024,), 1024**2 * 1025),
+        (oa_sum, (12, 10), 10**11 * 12),
+    ],
+)
+def test_oa_refuses_before_building_anything(monkeypatch, build, args, entries):
+    monkeypatch.delenv("DESIGN_FORGE_MAX_WORDS", raising=False)
+    monkeypatch.setattr(oa_module, "field_create", _built)
+    monkeypatch.setattr(oa_module, "product", _built)
+    with pytest.raises(
+        VerificationLimitExceeded,
+        match=f"^{entries} array entries exceed the ceiling 100000000$",
+    ):
+        build(*args)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
