@@ -13,7 +13,6 @@ Conventions shared by every construction here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .core import (
     Codeword,
@@ -22,7 +21,7 @@ from .core import (
     MixedAlphabet,
     MixedDesign,
     Resolution,
-    word_count,
+    _type_word_count,
 )
 from .errors import (
     ConstructionFailed,
@@ -73,6 +72,12 @@ def _checked(
         )
     object.__setattr__(design, "report", report)
     return design
+
+
+def _words_within_ceiling(pairs, t: int) -> int:
+    """Hold the weight-t words of the alphabet of group type `pairs`, (g, m)
+    for g^m, to the word ceiling before that alphabet is built."""
+    return _within_ceiling(_type_word_count(pairs, t), f"weight-{t} words", _word_ceiling(None))
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +280,8 @@ def _ms1_search(d, k: int):
     block neighbours are interchangeable: a block takes a prefix of each
     such class, and excluding c0 excludes its whole class.  A new
     coordinate is taken only when the residual degrees still pass the
-    block-pairs and top-set bounds (counting only pairs not yet used)."""
+    block-pairs and top-set bounds (counting only pairs not yet used).
+    Each node() call is one counted decision: the recursion follows the path."""
     n = len(d)
     k1 = k - 1
     rem = list(d)  # symbols left per coordinate
@@ -285,7 +291,6 @@ def _ms1_search(d, k: int):
     cover = range(n)
     down = range(n - 1, -1, -1)
     placed: list[tuple[int, ...]] = []
-    stack = []  # [v, allowed, c0, options, next option, placed block]
     nodes = 0
 
     def stuck() -> bool:
@@ -337,81 +342,60 @@ def _ms1_search(d, k: int):
         extend(0, (v, c0), 0)
         return c0, found
 
-    v, allowed = -1, 0
-    while True:
-        if v < 0:
-            if not alive:
-                return sorted(tuple(sorted(b)) for b in placed)
-            if not stuck():
-                slack = None
-                for u in cover:
-                    if rem[u]:
-                        s = (alive & ~adj[u]).bit_count() - rem[u] * k1
-                        if slack is None or s < slack or (s == slack and rem[u] > rem[v]):
-                            slack, v = s, u
-                allowed = alive & ~adj[v] & ~bit[v]
-        if v >= 0:
-            nodes += 1
-            if nodes > MS1_SEARCH_NODES:
-                raise ConstructionFailed(
-                    f"search budget of {MS1_SEARCH_NODES} nodes ran out (alphabet "
-                    f"{tuple(x + 1 for x in d)}, k={k}): existence is undecided"
-                )
-            stack.append([v, allowed, *options(v, allowed), 0, None])
-        # the next child: another option of the top frame, else its exclusion
-        while True:
-            if not stack:
-                raise _no_ms1(
-                    [x + 1 for x in d], k, "exhaustive-search", nodes,
-                    f"a complete search of {nodes} nodes finds no system",
-                )
-            frame = stack[-1]
-            fv, fallowed, c0, opts, i, block = frame
-            if block:
-                mask = 0
-                for u in block:
-                    mask |= bit[u]
-                for u in block:
-                    adj[u] &= ~mask
-                    rem[u] += 1
-                alive |= mask
-                placed.pop()
-                frame[5] = None
-            if i < len(opts):
-                block = opts[i]
-                frame[4] = i + 1
-                frame[5] = block
-                mask = died = 0
-                for u in block:
-                    mask |= bit[u]
-                for u in block:
-                    adj[u] |= mask ^ bit[u]
-                    rem[u] -= 1
-                    if not rem[u]:
-                        died |= bit[u]
-                alive ^= died
-                placed.append(block)
-                if not rem[fv]:
-                    v = -1
-                    break
-                v, allowed = fv, fallowed & ~mask & alive
-                if allowed.bit_count() < rem[fv] * k1:
-                    continue
-                if died and any(
-                    rem[u] and u != fv and (alive & ~adj[u]).bit_count() <= rem[u] * k1
-                    for u in cover
-                ):
-                    continue
-                break
-            stack.pop()
-            r0, a0 = rem[c0], adj[c0]
-            twins = 0
-            for u in cover:
-                if fallowed >> u & 1 and rem[u] == r0 and adj[u] == a0:
-                    twins |= bit[u]
-            v, allowed = fv, fallowed & ~twins
-            if allowed.bit_count() >= rem[fv] * k1:
-                break
+    def fresh() -> bool:  # True, with the blocks in `placed`, once all are full
+        if not alive:
+            return True
+        if stuck():
+            return False
+        v = min(  # least slack, then most symbols left, then lowest index
+            (u for u in cover if rem[u]),
+            key=lambda u: ((alive & ~adj[u]).bit_count() - rem[u] * k1, -rem[u]),
+        )
+        return node(v, alive & ~adj[v] & ~bit[v])
+
+    def node(v, allowed) -> bool:  # each block that options() lists, then c0's exclusion
+        nonlocal alive, nodes
+        if allowed.bit_count() < rem[v] * k1:
+            return False
+        nodes += 1
+        if nodes > MS1_SEARCH_NODES:
+            raise ConstructionFailed(
+                f"search budget of {MS1_SEARCH_NODES} nodes ran out (alphabet "
+                f"{tuple(x + 1 for x in d)}, k={k}): existence is undecided"
+            )
+        c0, opts = options(v, allowed)
+        for block in opts:
+            mask = died = 0
+            for u in block:
+                mask |= bit[u]
+            for u in block:
+                adj[u] |= mask ^ bit[u]
+                rem[u] -= 1
+                if not rem[u]:
+                    died |= bit[u]
+            alive ^= died
+            placed.append(block)
+            # a coordinate the block filled may leave another too few candidates
+            starved = died and any(
+                rem[u] and u != v and (alive & ~adj[u]).bit_count() <= rem[u] * k1 for u in cover
+            )
+            if not starved and (node(v, allowed & ~mask & alive) if rem[v] else fresh()):
+                return True
+            placed.pop()
+            alive |= mask
+            for u in block:
+                adj[u] &= ~mask
+                rem[u] += 1
+        twin = (rem[c0], adj[c0])
+        twins = sum(bit[u] for u in cover if allowed >> u & 1 and (rem[u], adj[u]) == twin)
+        return node(v, allowed & ~twins)
+
+    if not fresh():
+        raise _no_ms1(
+            [x + 1 for x in d], k, "exhaustive-search", nodes,
+            f"a complete search of {nodes} nodes finds no system",
+        )
+    return sorted(tuple(sorted(b)) for b in placed)
 
 
 # --------------------------------------------------------------------------
@@ -425,13 +409,13 @@ def construct_from_oa(k: int, r: int) -> MixedDesign:
     Blocks: r disjoint binary k-blocks {ik..ik+k-1}, plus one block per OA
     row (j_0..j_{k-1}): binary point i*k + j_i for i < r, then symbol j_i + 1
     at non-binary coordinate rk + (i - r) for i >= r.  The alphabet's
-    weight-2 words are held to the word ceiling before the array is built;
-    the output is checked at distance k + r - 2, which is the MS bound
-    2k - 3 at r = k - 1."""
+    weight-2 words are held to the word ceiling before the alphabet or the
+    array is built; the output is checked at distance k + r - 2, which is
+    the MS bound 2k - 3 at r = k - 1."""
     if not 1 <= r <= k - 1:
         raise ROutOfRange(f"need 1 <= r <= k-1, got r={r} k={k}")
+    _words_within_ceiling(((1, r * k), (k, k - r)), 2)
     alphabet = MixedAlphabet((2,) * (r * k) + (k + 1,) * (k - r))
-    _within_ceiling(word_count(alphabet, 2), "weight-2 words", _word_ceiling(None))
     array = oa_square(k)
     blocks = [
         Codeword(tuple((i * k + c, 1) for c in range(k))) for i in range(r)
@@ -488,8 +472,7 @@ def base_system(k: int) -> PartitionedCover:
     are held to the word ceiling before the array is built."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    combined = MixedAlphabet((2,) * (k * (k - 1)) + (k + 1,))
-    _within_ceiling(word_count(combined, 2), "weight-2 words", _word_ceiling(None))
+    _words_within_ceiling(((1, k * (k - 1)), (k, 1)), 2)
     array = oa_square(k)  # raises NotPrimePower for bad k
     w = k - 1
 
@@ -515,8 +498,7 @@ def combine_partition(cover: PartitionedCover) -> MixedDesign:
     first; then CoverInvariantViolated refuses the shapes the output check
     cannot see: block sizes, points outside range(n) (point n aliases the
     new coordinate), and a class block listed twice (unseen at t = k)."""
-    alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
-    _within_ceiling(word_count(alphabet, cover.t), f"weight-{cover.t} words", _word_ceiling(None))
+    _words_within_ceiling(((1, cover.n), (len(cover.classes), 1)), cover.t)
     pts = range(cover.n)
     for b in cover.r_blocks:
         if len(set(b)) != cover.k or any(p not in pts for p in b):
@@ -531,14 +513,15 @@ def combine_partition(cover: PartitionedCover) -> MixedDesign:
                 where = f"twice in class {ci}" if seen[key] == ci else "in two classes"
                 raise CoverInvariantViolated(f"block {b} appears {where}")
             seen[key] = ci
-    return _combine(cover, alphabet, f"combined cover n={cover.n} r={len(cover.classes)}")
+    return _combine(cover, f"combined cover n={cover.n} r={len(cover.classes)}")
 
 
-def _combine(cover: PartitionedCover, alphabet: MixedAlphabet, meta: str) -> MixedDesign:
+def _combine(cover: PartitionedCover, meta: str) -> MixedDesign:
     """combine_partition without its shape checks.  The output check at
     distance 2(k - t) + 1 counts every exactly-once cover invariant: the
     binary t-words are the t-subsets, the words through symbol i at the last
     coordinate are the (t-1)-subsets of class i."""
+    alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
     blocks = [Codeword(tuple((p, 1) for p in sorted(b))) for b in cover.r_blocks]
     for ci, cls in enumerate(cover.classes, start=1):
         for b in cls:
@@ -559,7 +542,7 @@ def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
     Point (x, y) flattens to x*q + y.  Its C(q^2, 2) point pairs are held
     to the word ceiling before any field table is built; the output is
     checked at distance 2(q - 2) + 1 together with its resolution."""
-    _within_ceiling(comb(q * q, 2), "weight-2 words", _word_ceiling(None))
+    _words_within_ceiling(((1, q * q),), 2)
     f = field_create(q)
     blocks: list[Codeword] = []
     classes = []
@@ -671,19 +654,22 @@ def construct_hybrid_ms(
 ) -> MixedDesign:
     """MS(2, k, Z_2^{(k-1)n} x Z_{n+1-(k-1)i}) from a resolvable S(2, k, n)
     with i of its parallel classes replaced; i = (n-1)/(k-1) replaces all of
-    them and yields a Steiner system S(2, k, (k-1)n + 1).  The output's
-    C(N, 2) + N*r weight-2 words, N = (k-1)n binary points and r the new
-    coordinate's nonzero symbols, are held to the word ceiling before the
-    design is expanded."""
+    them and yields a Steiner system S(2, k, (k-1)n + 1).  Before the
+    design is expanded, the output's C(N, 2) + N*r weight-2 words (N =
+    (k-1)n binary points, r the new coordinate's nonzero symbols) are held
+    to the word ceiling, and so, when a class is kept, are its B(B - 1)/2
+    block pairs, B = words / C(k, 2): two derived-class blocks then share a
+    point and the new coordinate, so the pairwise distance pass will run."""
     if isinstance(plan, int):
         plan = ReplacePlan.first(len(resolution.classes), plan)
     points = (design.k - 1) * design.alphabet.n
     symbols = design.alphabet.n - (design.k - 1) * plan.replace_count
-    alphabet = MixedAlphabet((2,) * points + (symbols + 1,))
-    _within_ceiling(word_count(alphabet, 2), "weight-2 words", _word_ceiling(None))
+    words = _words_within_ceiling(((1, points), (symbols, 1)), 2)
+    if not all(plan.flags):
+        b = words // (design.k * (design.k - 1) // 2)
+        _within_ceiling(b * (b - 1) // 2, "block pairs", _word_ceiling(None))
     return _combine(
         expand_design(design, resolution, plan),
-        alphabet,
         f"hybrid k={design.k} n={design.alphabet.n} replaced={plan.replace_count}",
     )
 

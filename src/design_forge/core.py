@@ -142,10 +142,7 @@ class GddType:
 
     @classmethod
     def from_alphabet(cls, alphabet: MixedAlphabet) -> "GddType":
-        counts: dict[int, int] = {}
-        for g in alphabet.group_sizes:
-            counts[g] = counts.get(g, 0) + 1
-        return cls(tuple(sorted(counts.items())))
+        return cls(tuple(sorted(Counter(alphabet.group_sizes).items())))
 
     @property
     def total_points(self) -> int:
@@ -314,10 +311,16 @@ def word_count(alphabet: MixedAlphabet, t: int) -> int:
         raise ValueError(f"need 0 <= t <= {alphabet.n}, got {t}")
     if t == 1:
         return sum(alphabet.sizes) - alphabet.n
+    return _type_word_count(GddType.from_alphabet(alphabet).pairs, t)
+
+
+def _type_word_count(pairs, t: int) -> int:
+    """word_count of an alphabet of group type g_1^{m_1} g_2^{m_2} ... given
+    as (g, m) pairs, never built: g^m has C(m, i) g^i words of weight i."""
     es = [1] + [0] * t
-    for g in alphabet.group_sizes:
+    for g, m in pairs:
         for j in range(t, 0, -1):
-            es[j] += es[j - 1] * g
+            es[j] += sum(es[j - i] * math.comb(m, i) * g**i for i in range(1, min(j, m) + 1))
     return es[t]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .core import first_miscount
-from .errors import StrengthExceedsColumns
+from .errors import StrengthExceedsColumns, VerificationLimitExceeded
 from .fields import field_create
 from .verify import Counterexample, VerificationReport, _within_ceiling, _word_ceiling
 
@@ -75,12 +75,18 @@ def oa_extended(q: int) -> OrthogonalArray:
 def oa_sum(t: int, k: int) -> OrthogonalArray:
     """OA(t-1, t, k) over Z_k: all (t-1)-tuples in lexicographic order, each
     with -(sum of the tuple) mod k appended.  Its k^(t-1) x t entries are
-    held to the word ceiling before any row is built."""
+    held to the word ceiling before any row is built, and named as a power,
+    not formed, once k^(t-1) >= 2^((t-1)(bits of k - 1)) passes 2^4096 too."""
     if t < 2:
         raise ValueError("t must be >= 2")
     if k < 2:
         raise ValueError("k must be >= 2")
-    _within_ceiling(k ** (t - 1) * t, "array entries", _word_ceiling(None))
+    ceiling = _word_ceiling(None)
+    if (t - 1) * (k.bit_length() - 1) >= max(ceiling.bit_length(), 4096):
+        raise VerificationLimitExceeded(
+            f"{k}^{t - 1} * {t} array entries exceed the ceiling {ceiling}"
+        )
+    _within_ceiling(k ** (t - 1) * t, "array entries", ceiling)
     rows = tuple(
         tup + ((-sum(tup)) % k,) for tup in product(range(k), repeat=t - 1)
     )

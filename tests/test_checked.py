@@ -255,9 +255,14 @@ def test_construct_hybrid_ms_fails_fast_on_the_word_ceiling(monkeypatch):
     with pytest.raises(VerificationLimitExceeded, match="315 weight-2 words"):
         construct_hybrid_ms(plane, classes, 0)
     assert expanded == []
+    # a kept class: the 315 / C(3, 2) = 105 blocks give 5460 pairs for the
+    # distance pass, refused before the design is expanded as well
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "315")
     with pytest.raises(VerificationLimitExceeded, match="5460 block pairs"):
         construct_hybrid_ms(plane, classes, 0)
+    assert expanded == []
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "5460")
+    assert len(construct_hybrid_ms(plane, classes, 0).blocks) == 105
     assert len(expanded) == 1
 
 
@@ -319,6 +324,52 @@ def test_the_ceiling_bounds_construct(monkeypatch):
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "10")
     with pytest.raises(VerificationLimitExceeded):
         construct_from_oa(4, 3)
+
+
+def _no_alphabet(sizes):
+    raise AssertionError("an alphabet was built before the ceiling check")
+
+
+@pytest.mark.parametrize(
+    "build, words",
+    [
+        # Z_2^{k(k-1)} x Z_{k+1} at k = 40000: 1.6 * 10^9 coordinates
+        (lambda: base_system(40000), 1279999998400020000),
+        # Z_2^{rk} x Z_{k+1}^{k-r} at k = 3 * 10^8, r = 1
+        (lambda: construct_from_oa(3 * 10**8, 1), 4049999986500000044999999850000000),
+        # a cover on 10^9 points with one class: C(10^9, 2) + 10^9 words
+        (lambda: combine_partition(PartitionedCover(10**9, 2, 3, (), ((),))), 500000000500000000),
+        (lambda: resolvable_affine(2**20), (2**40) * (2**40 - 1) // 2),
+    ],
+)
+def test_builders_count_from_their_parameters(monkeypatch, build, words):
+    monkeypatch.delenv("DESIGN_FORGE_MAX_WORDS", raising=False)
+    monkeypatch.setattr(constructions, "MixedAlphabet", _no_alphabet)
+    with pytest.raises(
+        VerificationLimitExceeded,
+        match=f"^{words} weight-2 words exceed the ceiling 100000000$",
+    ):
+        build()
+
+
+def test_construct_hybrid_ms_holds_its_block_pairs_before_expanding(monkeypatch):
+    plane, classes = resolvable_affine(16)
+
+    def no_expansion(*args):
+        raise AssertionError("expand_design ran")
+
+    monkeypatch.delenv("DESIGN_FORGE_MAX_WORDS", raising=False)
+    monkeypatch.setattr(constructions, "expand_design", no_expansion)
+    # N = 15 * 256 points and 256 symbols: C(N, 2) + 256N = 8353920 words,
+    # so B = 8353920 / C(16, 2) = 69616 blocks
+    with pytest.raises(
+        VerificationLimitExceeded, match="^2423158920 block pairs exceed the ceiling 100000000$"
+    ):
+        construct_hybrid_ms(plane, classes, 0)
+    # replacing all 17 classes builds an S(2, 16, 3841), whose distance the
+    # counting settles: no pair gate
+    with pytest.raises(AssertionError, match="expand_design ran"):
+        construct_hybrid_ms(plane, classes, 17)
 
 
 # -------------------------------------------------- one distance pass per run

@@ -218,6 +218,39 @@ def test_oa_fails_fast_within_1_gb(tmp_path, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--family", "hybrid", "--k", "16", "--i", "0"],
+         "2423158920 block pairs exceed the ceiling 100000000"),
+        (["construct", "--family", "base", "--k", "40000"],
+         "1279999998400020000 weight-2 words exceed the ceiling 100000000"),
+        (["construct", "--family", "oa-gdd", "--k", "300000000", "--r", "1"],
+         "4049999986500000044999999850000000 weight-2 words exceed the ceiling 100000000"),
+        (["oa", "--kind", "sum", "--t", "100000", "--k", "10"],
+         "10^99999 * 100000 array entries exceed the ceiling 100000000"),
+        (["oa", "--kind", "sum", "--t", "10000000", "--k", "10"],
+         "10^9999999 * 10000000 array entries exceed the ceiling 100000000"),
+    ],
+)
+def test_huge_requests_are_counted_from_their_parameters_within_1_gb(tmp_path, argv, message):
+    # each is refused before its alphabet, design or power is formed; none
+    # needs more than a fraction of a second
+    env = {k: v for k, v in os.environ.items() if k != "DESIGN_FORGE_MAX_WORDS"}
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-m", "design_forge.cli", *argv, "-o", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_memory_to_1_gb,
+        timeout=10,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_hybrid_rejects_design_without_classes(tmp_path):
     bare = tmp_path / "bare.json"
     run_cli("construct", "--family", "base", "--k", "3", "-o", str(bare))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from itertools import combinations_with_replacement
 
@@ -21,6 +22,7 @@ from design_forge import (
     combine_partition,
     construct_from_oa,
     constructions,
+    design_to_json,
     gdd_type_of,
     min_distance,
     ms1_construct,
@@ -191,6 +193,115 @@ def test_ms1_construct_search_budget_leaves_the_question_open(monkeypatch):
     assert not isinstance(err.value, NoSuchSystem)
 
 
+# The alphabets of the wider grid (n <= 12, sizes 2..7, k <= 6) that the
+# search does not build.  Each exhaustive refusal names the nodes it took.
+_EXHAUSTIVE = [
+    ((2, 2, 2, 2, 2, 3, 4, 4, 4, 4, 6), 3, 41),
+    ((2, 2, 2, 2, 3, 4, 4, 4, 4, 5, 6), 3, 55),
+    ((2, 2, 2, 3, 4, 4, 4, 4, 4, 6, 6), 3, 19),
+    ((2, 2, 3, 3, 3, 4, 4, 4, 4, 6, 6), 3, 33),
+    ((2, 2, 3, 4, 4, 4, 4, 4, 5, 6, 6), 3, 33),
+    ((2, 2, 4, 4, 4, 4, 4, 4, 4, 6, 6), 3, 9),
+    ((2, 2, 4, 4, 4, 4, 5, 5, 5, 6, 6), 3, 26),
+    ((2, 2, 2, 2, 2, 2, 2, 4, 4, 4, 4, 6), 3, 25),
+    ((2, 2, 2, 2, 2, 2, 4, 4, 4, 4, 5, 6), 3, 42),
+    ((2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 6, 6), 3, 28),
+    ((2, 2, 2, 2, 3, 3, 4, 4, 4, 4, 6, 6), 3, 120),
+    ((2, 2, 2, 2, 4, 4, 4, 4, 4, 5, 6, 6), 3, 59),
+]
+
+# ... and those still undecided when MS1_SEARCH_NODES runs out.
+_UNDECIDED = [
+    ((3, 3, 3, 4, 5, 5, 5, 5, 5, 6, 6), 3),
+    ((3, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6), 3),
+    ((4, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6), 3),
+    ((2, 2, 2, 3, 3, 3, 4, 5, 5, 5, 5, 6), 3),
+    ((2, 2, 3, 3, 3, 4, 4, 5, 5, 5, 6, 6), 3),
+    ((2, 2, 3, 3, 4, 4, 5, 5, 5, 6, 6, 6), 3),
+    ((2, 2, 3, 3, 4, 5, 5, 5, 5, 5, 6, 6), 3),
+    ((2, 2, 3, 4, 4, 4, 5, 5, 5, 5, 6, 6), 3),
+    ((2, 2, 3, 4, 5, 5, 5, 5, 5, 6, 6, 6), 3),
+    ((2, 3, 3, 3, 3, 3, 4, 5, 5, 5, 6, 6), 3),
+    ((2, 3, 3, 3, 3, 3, 5, 5, 5, 5, 5, 6), 3),
+    ((2, 3, 3, 3, 3, 4, 5, 5, 5, 6, 6, 6), 3),
+    ((2, 3, 3, 3, 3, 5, 5, 5, 5, 5, 6, 6), 3),
+    ((2, 3, 3, 3, 4, 4, 4, 5, 5, 6, 6, 6), 3),
+    ((2, 3, 3, 3, 4, 4, 5, 5, 5, 5, 6, 6), 3),
+    ((2, 3, 3, 3, 5, 5, 5, 5, 5, 6, 6, 6), 3),
+    ((2, 3, 3, 4, 4, 5, 5, 5, 5, 6, 6, 6), 3),
+    ((2, 3, 3, 5, 5, 5, 5, 5, 6, 6, 6, 6), 3),
+    ((2, 3, 4, 4, 4, 4, 5, 5, 5, 6, 6, 6), 3),
+    ((2, 3, 4, 4, 4, 5, 5, 6, 6, 6, 6, 6), 3),
+    ((2, 3, 4, 5, 5, 5, 6, 6, 6, 6, 6, 6), 3),
+    ((2, 4, 4, 4, 4, 4, 4, 4, 6, 6, 6, 6), 3),
+    ((2, 4, 4, 4, 5, 5, 6, 6, 6, 6, 6, 6), 3),
+    ((2, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 6), 3),
+    ((2, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6), 3),
+    ((3, 3, 3, 3, 3, 3, 5, 5, 5, 6, 6, 6), 3),
+    ((3, 3, 3, 3, 3, 4, 5, 5, 5, 5, 6, 6), 3),
+    ((3, 3, 3, 3, 4, 5, 5, 5, 5, 6, 6, 6), 3),
+    ((3, 3, 3, 4, 4, 4, 5, 5, 5, 6, 6, 6), 3),
+    ((3, 3, 3, 4, 4, 5, 5, 6, 6, 6, 6, 6), 3),
+    ((3, 3, 3, 5, 5, 5, 6, 6, 6, 6, 6, 6), 3),
+    ((3, 3, 4, 4, 4, 4, 4, 4, 6, 6, 6, 6), 3),
+    ((3, 3, 4, 4, 5, 5, 6, 6, 6, 6, 6, 6), 3),
+    ((3, 3, 4, 5, 5, 5, 5, 6, 6, 6, 6, 6), 3),
+    ((3, 4, 4, 4, 4, 5, 6, 6, 6, 6, 6, 6), 3),
+    ((3, 4, 4, 4, 5, 5, 5, 6, 6, 6, 6, 6), 3),
+    ((3, 4, 4, 5, 5, 5, 5, 5, 6, 6, 6, 6), 3),
+    ((3, 4, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6), 3),
+    ((4,) * 12, 4),
+    ((4, 4, 4, 4, 4, 4, 4, 5, 6, 6, 6, 6), 3),
+    ((4, 4, 4, 4, 4, 5, 5, 6, 6, 6, 6, 6), 3),
+    ((4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6, 6), 3),
+    ((4, 4, 4, 6, 6, 6, 6, 6, 6, 6, 6, 6), 3),
+    ((5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 6, 6), 3),
+]
+
+
+def test_ms1_search_refusals_on_the_wider_grid():
+    assert len(_EXHAUSTIVE) + len(_UNDECIDED) == 56
+    refused = []
+    for sizes, k, _ in _EXHAUSTIVE:
+        with pytest.raises(NoSuchSystem) as err:
+            ms1_construct(sizes, k)
+        refused.append((sizes, k, err.value.bound, err.value.witness))
+    assert refused == [(s, k, "exhaustive-search", nodes) for s, k, nodes in _EXHAUSTIVE]
+    for sizes, k in _UNDECIDED:
+        with pytest.raises(ConstructionFailed) as err:
+            ms1_construct(sizes, k)
+        assert not isinstance(err.value, NoSuchSystem)
+        assert str(err.value) == (
+            f"search budget of 1000 nodes ran out (alphabet {sizes}, k={k}): "
+            f"existence is undecided"
+        )
+
+
+def test_ms1_search_outputs_on_the_criterion_5_grid_are_pinned():
+    # every alphabet of the criterion-5 grid that passes the arithmetic and
+    # the closed-form bounds and defeats the greedy, at k >= 3
+    digest = hashlib.sha256()
+    built = 0
+    for n in range(1, 11):
+        for sizes in combinations_with_replacement(range(2, 7), n):
+            for k in range(3, 6):
+                d = [q - 1 for q in sizes]
+                if (
+                    not ms1_feasible(sizes, k).feasible
+                    or constructions._ms1_bound(d, k) is not None
+                    or constructions._ms1_greedy(d, k) is not None
+                ):
+                    continue
+                design = ms1_construct(sizes, k)
+                assert design.meta == f"ms1 k={k} search over sorted sizes"
+                digest.update(design_to_json(design).encode())
+                built += 1
+    assert built == 128
+    assert digest.hexdigest() == (
+        "274c9890961c271c6a4b98b5fe2ebe6f1b9e9b49b43689d8b9ebc0a962d940e2"
+    )
+
+
 # ------------------------------------------------------------- OA designs
 
 
@@ -354,8 +465,7 @@ def test_validate_cover_rejects_double_coverage():
     ],
 )
 def test_shape_checks_refuse_what_the_combined_design_hides(cover, message):
-    alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
-    assert constructions._combine(cover, alphabet, "unchecked").report.ok
+    assert constructions._combine(cover, "unchecked").report.ok
     for check in (combine_partition, validate_cover):
         with pytest.raises(CoverInvariantViolated, match=re.escape(message)):
             check(cover)

@@ -323,7 +323,8 @@ def test_first_miscount_matches_brute_force(case):
 
 
 def test_enumerate_t_words_matches_count():
-    for sizes in [(2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 5)]:
+    # equal sizes are counted together, as one g^m of the group type
+    for sizes in [(2, 2), (2, 3, 4), (3, 3, 3), (2, 2, 2, 5), (2, 2, 2, 2, 3, 3, 5)]:
         alphabet = MixedAlphabet(sizes)
         for t in range(len(sizes) + 1):
             words = list(enumerate_t_words(alphabet, t))

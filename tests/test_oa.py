@@ -123,6 +123,30 @@ def test_oa_refuses_before_building_anything(monkeypatch, build, args, entries):
         build(*args)
 
 
+@pytest.mark.parametrize(
+    "args, ceiling, message",
+    [
+        ((10**7, 10), None, "10^9999999 * 10000000 array entries exceed the ceiling 100000000"),
+        ((10**5, 10), None, "10^99999 * 100000 array entries exceed the ceiling 100000000"),
+        # 2^4096 is where the count is named as a power ...
+        ((4097, 2), None, "2^4096 * 4097 array entries exceed the ceiling 100000000"),
+        # ... and only once it is past the ceiling too
+        ((5100, 2), 2**5000, f"2^5099 * 5100 array entries exceed the ceiling {2**5000}"),
+        # below, the count is written out
+        ((4096, 2), None, f"{2**4095 * 4096} array entries exceed the ceiling 100000000"),
+    ],
+)
+def test_oa_sum_names_a_huge_count_as_a_power(monkeypatch, args, ceiling, message):
+    if ceiling is None:
+        monkeypatch.delenv("DESIGN_FORGE_MAX_WORDS", raising=False)
+    else:
+        monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", str(ceiling))
+    monkeypatch.setattr(oa_module, "product", _built)
+    with pytest.raises(VerificationLimitExceeded) as err:
+        oa_sum(*args)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
 def test_mols_complete_family(q):
     squares = mols_complete(q)
