@@ -658,8 +658,8 @@ def construct_hybrid_ms(
     design is expanded, the output's C(N, 2) + N*r weight-2 words (N =
     (k-1)n binary points, r the new coordinate's nonzero symbols) are held
     to the word ceiling, and so, when a class is kept, are its B(B - 1)/2
-    block pairs, B = words / C(k, 2): two derived-class blocks then share a
-    point and the new coordinate, so the pairwise distance pass will run."""
+    block pairs, B = words / C(k, 2).  Counting settles the distance, so
+    that gate bounds the coverage count's memory (over 1 GB at k = 16)."""
     if isinstance(plan, int):
         plan = ReplacePlan.first(len(resolution.classes), plan)
     points = (design.k - 1) * design.alphabet.n

@@ -6,7 +6,8 @@ that can be re-checked independently (a word with its true cover count, a
 block pair with its distance, or a coordinate/class pair for resolutions).
 The word enumeration is guarded by a ceiling (default 10**8 words,
 overridable per call or via DESIGN_FORGE_MAX_WORDS); the mixed Steiner
-distance pass is guarded by the same ceiling on block pairs.
+distance pass, run only where counting cannot settle the distance, is
+guarded by the same ceiling on block pairs.
 """
 
 from __future__ import annotations
@@ -121,8 +122,7 @@ def _coverage_counterexample(alphabet: MixedAlphabet, t: int, blocks, ceiling: i
 
 def _coverage_distance(design: MixedDesign) -> int | float | None:
     """The minimum distance of a design that passed the coverage check,
-    settled by counting, or None when two of its blocks may share two
-    coordinates.
+    settled by counting, or None when counting cannot settle it.
 
     Coverage puts every (coordinate, symbol) pair, and so every coordinate,
     in some block.  Two blocks that share at most one coordinate are at
@@ -133,17 +133,24 @@ def _coverage_distance(design: MixedDesign) -> int | float | None:
     more entries than the n coordinates puts some coordinate in two blocks
     (2k - 1), else the blocks are disjoint (2k).  B*C(k, 2) <= C(n, 2) is
     necessary for the coordinate pairs to be distinct, so it is checked
-    before they are listed."""
+    before they are listed.
+
+    Otherwise some coordinate pair lies in two blocks, and when t = 2 and at
+    most one coordinate c has q_c > 2 the distance is 2k - 3.  Coverage lets
+    two blocks share at most one entry, and so at most two coordinates, as
+    every other one is binary.  Two blocks on one pair share c and a binary
+    entry, with unequal symbols at c, else a word is covered twice."""
     b, k, n = len(design.blocks), design.k, design.alphabet.n
     if b < 2:
         return math.inf
-    if b * (k * (k - 1) // 2) > n * (n - 1) // 2:
-        return None
-    pairs = [(u[0], v[0]) for blk in design.blocks for u, v in combinations(blk.support, 2)]
-    if len(set(pairs)) < len(pairs):
-        return None
-    entries = b * k
-    return 2 * k - (entries > sum(design.alphabet.group_sizes)) - (entries > n)
+    if b * (k * (k - 1) // 2) <= n * (n - 1) // 2:
+        pairs = [(u[0], v[0]) for blk in design.blocks for u, v in combinations(blk.support, 2)]
+        if len(set(pairs)) == len(pairs):
+            entries = b * k
+            return 2 * k - (entries > sum(design.alphabet.group_sizes)) - (entries > n)
+    if design.t == 2 and sum(q > 2 for q in design.alphabet.sizes) <= 1:
+        return 2 * k - 3
+    return None
 
 
 def verify_gdd(design: MixedDesign, max_words: int | None = None) -> VerificationReport:
@@ -155,8 +162,9 @@ def verify_gdd(design: MixedDesign, max_words: int | None = None) -> Verificatio
 def verify_mixed_steiner(design: MixedDesign, max_words: int | None = None) -> VerificationReport:
     """Mixed Steiner check: the GDD coverage clause plus minimum distance
     >= 2(k - t) + 1.  The distance is settled by counting when no two
-    blocks share two coordinates (see _coverage_distance); otherwise, or
-    when that value falls short, core.min_distance's bit-sliced column sum
+    blocks share two coordinates, or when t = 2 and at most one coordinate
+    is nonbinary (see _coverage_distance); otherwise, or when that value
+    falls short, core.min_distance's bit-sliced column sum
     counts every block pair and names the least witness pair, and
     VerificationLimitExceeded is raised first when the pairs exceed the
     ceiling."""

@@ -299,22 +299,27 @@ def test_verify_word_limit_env_exits_2(tmp_path):
 
 
 def test_verify_ms_pair_ceiling_exits_2(tmp_path):
-    # the k = 3, i = 2 hybrid: 243 weight-2 words but 81 blocks, so 3240
-    # block pairs
+    # oa-gdd k = 5, r = 2 has two nonbinary coordinates: 270 weight-2 words
+    # but 27 blocks, so 351 block pairs
     out = tmp_path / "design.json"
-    run_cli("construct", "--family", "hybrid", "--k", "3", "--i", "2", "-o", str(out))
-    words_fit = run_cli("verify", "--claim", "gdd", "--max-words", "1000", str(out))
+    run_cli("construct", "--family", "oa-gdd", "--k", "5", "--r", "2", "-o", str(out))
+    words_fit = run_cli("verify", "--claim", "gdd", "--max-words", "300", str(out))
     assert words_fit.returncode == 0
-    result = run_cli("verify", "--claim", "ms", "--max-words", "1000", str(out))
+    result = run_cli("verify", "--claim", "ms", "--max-words", "300", str(out))
     assert result.returncode == 2
-    assert "3240 block pairs exceed the ceiling 1000" in result.stderr
+    assert "351 block pairs exceed the ceiling 300" in result.stderr
     assert result.stdout == ""
-    assert run_cli("verify", "--claim", "ms", "--max-words", "3240", str(out)).returncode == 0
-    # S(2,3,19) (1596 pairs) is settled by counting and compares no pairs
-    run_cli("construct", "--family", "hybrid", "--k", "3", "--i", "4", "-o", str(out))
-    steiner = run_cli("verify", "--claim", "ms", "--max-words", "1000", str(out))
-    assert steiner.returncode == 0
-    assert json.loads(steiner.stdout)["stats"]["min_distance"] == 4
+    # a GDD at distance k + r - 2 = 5, short of the MS distance 7
+    fails = run_cli("verify", "--claim", "ms", "--max-words", "351", str(out))
+    assert fails.returncode == 1
+    assert json.loads(fails.stdout)["counterexample"]["distance"] == 5
+    # S(2,3,19) (1596 pairs) and the k = 3, i = 2 hybrid (3240 pairs, one
+    # nonbinary coordinate) are settled by counting and compare no pairs
+    for i, distance in ((4, 4), (2, 3)):
+        run_cli("construct", "--family", "hybrid", "--k", "3", "--i", str(i), "-o", str(out))
+        settled = run_cli("verify", "--claim", "ms", "--max-words", "1000", str(out))
+        assert settled.returncode == 0
+        assert json.loads(settled.stdout)["stats"]["min_distance"] == distance
 
 
 def test_verify_negative_max_words_exits_2(tmp_path):

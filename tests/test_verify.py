@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +24,7 @@ from design_forge import (
     construct_hybrid_ms,
     covers,
     hamming_distance,
+    min_distance,
     ms1_construct,
     ms_bound_check,
     resolvable_affine,
@@ -32,6 +34,7 @@ from design_forge import (
     verify_resolution,
     verify_steiner,
 )
+from design_forge import verify
 from design_forge.verify import _coverage_distance
 from tests.conftest import brute_force_min_distance, build_toy_large_set, verified_roster
 
@@ -143,9 +146,41 @@ def test_coverage_distance_matches_the_pairwise_pass(design):
     oracle = brute_force_min_distance(design)[0]
     value = _coverage_distance(design)
     assert value is None or value == oracle
-    if design.t == 2 and set(design.alphabet.sizes) == {2}:
-        assert value is not None  # every all-binary t = 2 design is settled
-    assert verify_mixed_steiner(design).stats["min_distance"] == oracle
+    settled = design.t == 2 and sum(q > 2 for q in design.alphabet.sizes) <= 1
+    if settled:
+        assert value is not None  # at most one nonbinary coordinate at t = 2
+    with mock.patch.object(verify, "min_distance", wraps=min_distance) as pass_:
+        assert verify_mixed_steiner(design).stats["min_distance"] == oracle
+    assert not (settled and pass_.called)
+
+
+def test_counting_leaves_two_nonbinary_coordinates_and_t_3_to_the_pass(monkeypatch):
+    # two nonbinary coordinates (type 1^8 4^2): distance 4, not 2k - 3 = 5
+    gdd = construct_from_oa(4, 2)
+    calls = []
+
+    def counted(design):
+        calls.append(len(design.blocks))
+        return min_distance(design)
+
+    monkeypatch.setattr(verify, "min_distance", counted)
+    assert _coverage_distance(gdd) is None
+    report = verify_mixed_steiner(gdd)
+    assert report.stats["min_distance"] == brute_force_min_distance(gdd)[0] == 4
+    assert calls == [18]
+    # t = k = 3 with one nonbinary coordinate: every weight-3 word over
+    # Z_2^3 x Z_3 is a block, and two blocks differing at Z_3 are at distance 1
+    sizes = (2, 2, 2, 3)
+    blocks = tuple(
+        Codeword(tuple(zip(cols, syms)))
+        for cols in combinations(range(4), 3)
+        for syms in product(*(range(1, sizes[c]) for c in cols))
+    )
+    design = MixedDesign(MixedAlphabet(sizes), 3, 3, blocks)
+    assert _coverage_distance(design) is None
+    report = verify_mixed_steiner(design)
+    assert report.ok and report.stats["min_distance"] == brute_force_min_distance(design)[0] == 1
+    assert calls == [18, 7]
 
 
 @st.composite
@@ -343,16 +378,18 @@ def test_word_ceiling_argument_and_env(monkeypatch):
 
 
 def test_pair_ceiling_bounds_the_distance_pass():
+    design = construct_from_oa(5, 2)  # two nonbinary coordinates: 270 words, 351 pairs
+    with pytest.raises(VerificationLimitExceeded, match="351 block pairs"):
+        verify_mixed_steiner(design, max_words=350)
+    report = verify_mixed_steiner(design, max_words=351)
+    assert not report.ok and report.counterexample.distance == 5
+    assert verify_gdd(design, max_words=300).ok
+    # S(2,3,19) (1596 pairs) and the k = 3, i = 2 hybrid (3240 pairs, one
+    # nonbinary coordinate) are settled by counting and compare no pairs
     plane, classes = resolvable_affine(3)
-    design = construct_hybrid_ms(plane, classes, 2)  # 243 words, 3240 pairs
-    with pytest.raises(VerificationLimitExceeded, match="3240 block pairs"):
-        verify_mixed_steiner(design, max_words=3239)
-    assert verify_mixed_steiner(design, max_words=3240).ok
-    assert verify_gdd(design, max_words=3239).ok
-    # S(2,3,19) (1596 pairs) is settled by counting and compares no pairs
-    steiner = construct_hybrid_ms(plane, classes, 4)
-    report = verify_mixed_steiner(steiner, max_words=1595)
-    assert report.ok and report.stats["min_distance"] == 4
+    for i, distance in ((4, 4), (2, 3)):
+        report = verify_mixed_steiner(construct_hybrid_ms(plane, classes, i), max_words=1000)
+        assert report.ok and report.stats["min_distance"] == distance
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5", " "])
