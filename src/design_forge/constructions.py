@@ -657,17 +657,13 @@ def construct_hybrid_ms(
     them and yields a Steiner system S(2, k, (k-1)n + 1).  Before the
     design is expanded, the output's C(N, 2) + N*r weight-2 words (N =
     (k-1)n binary points, r the new coordinate's nonzero symbols) are held
-    to the word ceiling, and so, when a class is kept, are its B(B - 1)/2
-    block pairs, B = words / C(k, 2).  Counting settles the distance, so
-    that gate bounds the coverage count's memory (over 1 GB at k = 16)."""
+    to the word ceiling.  Counting settles the distance, so no block pair
+    is compared, and the output check counts those words in one byte each."""
     if isinstance(plan, int):
         plan = ReplacePlan.first(len(resolution.classes), plan)
     points = (design.k - 1) * design.alphabet.n
     symbols = design.alphabet.n - (design.k - 1) * plan.replace_count
-    words = _words_within_ceiling(((1, points), (symbols, 1)), 2)
-    if not all(plan.flags):
-        b = words // (design.k * (design.k - 1) // 2)
-        _within_ceiling(b * (b - 1) // 2, "block pairs", _word_ceiling(None))
+    _words_within_ceiling(((1, points), (symbols, 1)), 2)
     return _combine(
         expand_design(design, resolution, plan),
         f"hybrid k={design.k} n={design.alphabet.n} replaced={plan.replace_count}",

@@ -325,13 +325,14 @@ def _type_word_count(pairs, t: int) -> int:
 
 
 def first_miscount(items: list, total: int, ordered, want: int = 1):
-    """The exactly-once kernel of every coverage, multiplicity, strength
-    and parallel-class check: None when the items hold each of the `total`
-    elements that `ordered()` yields exactly `want` times, otherwise
-    (element, count) for the first element in that order whose count
-    differs.  The accept test only counts, so every item must be one of
-    those elements.  `ordered` is called only on failure, and a Counter is
-    built only when some item repeats or want > 1."""
+    """The exactly-once kernel of coverage at t != 2 and of the
+    multiplicity, strength and parallel-class checks (verify._pair_miscount
+    counts weight-2 coverage in packed form): None when the items hold each
+    of the `total` elements that `ordered()` yields exactly `want` times,
+    otherwise (element, count) for the first element in that order whose
+    count differs.  The accept test only counts, so every item must be one
+    of those elements.  `ordered` is called only on failure, and a Counter
+    is built only when some item repeats or want > 1."""
     if want == 1:
         seen = set(items)
         if len(items) == total == len(seen):

@@ -5,17 +5,19 @@ property from the raw blocks.  A fail report always carries a counterexample
 that can be re-checked independently (a word with its true cover count, a
 block pair with its distance, or a coordinate/class pair for resolutions).
 The word enumeration is guarded by a ceiling (default 10**8 words,
-overridable per call or via DESIGN_FORGE_MAX_WORDS); the mixed Steiner
-distance pass, run only where counting cannot settle the distance, is
-guarded by the same ceiling on block pairs.
+overridable per call or via DESIGN_FORGE_MAX_WORDS); weight-2 coverage is
+counted in one byte per word, so that ceiling also bounds its memory.  The
+mixed Steiner distance pass, run only where counting cannot settle the
+distance, is guarded by the same ceiling on block pairs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .core import (
     Codeword,
@@ -102,10 +104,14 @@ def _coverage_counterexample(alphabet: MixedAlphabet, t: int, blocks, ceiling: i
 ]:
     """Exactly-once coverage of every weight-t word over the alphabet by the
     blocks, counted over the blocks' weight-t subwords (O(blocks * C(k, t)))
-    against the closed-form total; only the violator becomes a Codeword."""
+    against the closed-form total, by _pair_miscount at t = 2 and by
+    core.first_miscount otherwise; only the violator becomes a Codeword."""
     total = _within_ceiling(word_count(alphabet, t), f"weight-{t} words", ceiling)
-    subwords = [w for b in blocks for w in combinations(b.support, t)]
-    bad = first_miscount(subwords, total, lambda: word_supports(alphabet, t))
+    if t == 2:
+        bad = _pair_miscount(alphabet, blocks, total)
+    else:
+        subwords = [w for b in blocks for w in combinations(b.support, t)]
+        bad = first_miscount(subwords, total, lambda: word_supports(alphabet, t))
     if bad is None:
         return None, total
     support, c = bad
@@ -118,6 +124,55 @@ def _coverage_counterexample(alphabet: MixedAlphabet, t: int, blocks, ceiling: i
         ),
         total,
     )
+
+
+# a slot's byte -> 0 when its word is covered exactly once, else 1
+_MISCOUNT = bytes([1, 0] + [1] * 254)
+
+
+def _pair_miscount(alphabet: MixedAlphabet, blocks, total: int):
+    """first_miscount of the blocks' weight-2 subwords against the `total`
+    weight-2 words, in one byte per word and without a walk.
+
+    The entries (c, s) are numbered 0..P-1 in order; entry x owns a row of
+    one slot per entry y of a later coordinate, slot row[x] + y, so there
+    are exactly `total` slots, in (c1, s1, c2, s2) order.  A byte stays at
+    255 once there.  The first bad slot fixes c1, the least coordinate of a
+    violator; the contract's order is (c1, c2, s1, s2), so each later row
+    of that coordinate is searched only below the best c2 so far.  A
+    saturated count is recounted over the blocks."""
+    sizes = alphabet.sizes
+    cut = list(accumulate(q - 1 for q in sizes))  # the entries of coordinates <= c
+    p = cut[-1]
+    off = [e - q for e, q in zip(cut, sizes)]  # entry (c, s) is off[c] + s
+    widths = (p - e for e, q in zip(cut, sizes) for _ in range(q - 1))
+    row = [end - p for end in accumulate(widths)]
+    buf = bytearray(total)
+    for b in blocks:
+        for x, y in combinations([off[c] + s for c, s in b.support], 2):
+            try:
+                buf[row[x] + y] += 1
+            except ValueError:
+                pass
+    if buf.count(1) == total:
+        return None
+    bad = buf.translate(_MISCOUNT)
+    f = bad.find(1)
+    x = bisect_right(row, f - p)
+    y = f - row[x]
+    c1 = bisect_right(cut, x)
+    stop = off[bisect_right(cut, y)] + 1  # a later row beats y only below y's coordinate
+    for z in range(x + 1, cut[c1]):
+        g = bad.find(1, row[z] + cut[c1], row[z] + stop)
+        if g >= 0:
+            x, y = z, g - row[z]
+            stop = off[bisect_right(cut, y)] + 1
+    c2 = bisect_right(cut, y)
+    u, v = (c1, x - off[c1]), (c2, y - off[c2])
+    count = buf[row[x] + y]
+    if count == 255:
+        count = sum(u in b.support and v in b.support for b in blocks)
+    return (u, v), count
 
 
 def _coverage_distance(design: MixedDesign) -> int | float | None:

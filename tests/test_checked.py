@@ -255,15 +255,13 @@ def test_construct_hybrid_ms_fails_fast_on_the_word_ceiling(monkeypatch):
     with pytest.raises(VerificationLimitExceeded, match="315 weight-2 words"):
         construct_hybrid_ms(plane, classes, 0)
     assert expanded == []
-    # a kept class: the 315 / C(3, 2) = 105 blocks give 5460 block pairs,
-    # refused before the design is expanded as well
+    # the words are the one ceiling: at 315 the 105 blocks (5460 block
+    # pairs, none compared) build, and verify accepts them at that ceiling
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "315")
-    with pytest.raises(VerificationLimitExceeded, match="5460 block pairs"):
-        construct_hybrid_ms(plane, classes, 0)
-    assert expanded == []
-    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "5460")
-    assert len(construct_hybrid_ms(plane, classes, 0).blocks) == 105
+    hybrid = construct_hybrid_ms(plane, classes, 0)
+    assert len(hybrid.blocks) == 105
     assert len(expanded) == 1
+    assert verify.verify_mixed_steiner(hybrid, max_words=315).ok
 
 
 def test_construct_from_oa_fails_fast_on_the_word_ceiling(monkeypatch):
@@ -352,7 +350,7 @@ def test_builders_count_from_their_parameters(monkeypatch, build, words):
         build()
 
 
-def test_construct_hybrid_ms_holds_its_block_pairs_before_expanding(monkeypatch):
+def test_construct_hybrid_ms_expands_once_its_words_pass(monkeypatch):
     plane, classes = resolvable_affine(16)
 
     def no_expansion(*args):
@@ -360,16 +358,12 @@ def test_construct_hybrid_ms_holds_its_block_pairs_before_expanding(monkeypatch)
 
     monkeypatch.delenv("DESIGN_FORGE_MAX_WORDS", raising=False)
     monkeypatch.setattr(constructions, "expand_design", no_expansion)
-    # N = 15 * 256 points and 256 symbols: C(N, 2) + 256N = 8353920 words,
-    # so B = 8353920 / C(16, 2) = 69616 blocks
-    with pytest.raises(
-        VerificationLimitExceeded, match="^2423158920 block pairs exceed the ceiling 100000000$"
-    ):
-        construct_hybrid_ms(plane, classes, 0)
-    # replacing all 17 classes builds an S(2, 16, 3841), whose distance the
-    # counting settles: no pair gate
-    with pytest.raises(AssertionError, match="expand_design ran"):
-        construct_hybrid_ms(plane, classes, 17)
+    # N = 15 * 256 points and 256 symbols: C(N, 2) + 256N = 8353920 words
+    # pass the ceiling, so a kept class (69616 blocks, 2423158920 block
+    # pairs) expands just as a plan that replaces all 17 classes does
+    for replaced in (0, 17):
+        with pytest.raises(AssertionError, match="expand_design ran"):
+            construct_hybrid_ms(plane, classes, replaced)
 
 
 # -------------------------------------------------- one distance pass per run

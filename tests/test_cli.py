@@ -221,8 +221,8 @@ def test_oa_fails_fast_within_1_gb(tmp_path, argv, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["construct", "--family", "hybrid", "--k", "16", "--i", "0"],
-         "2423158920 block pairs exceed the ceiling 100000000"),
+        (["construct", "--family", "hybrid", "--k", "25", "--i", "0"],
+         "121867500 weight-2 words exceed the ceiling 100000000"),
         (["construct", "--family", "base", "--k", "40000"],
          "1279999998400020000 weight-2 words exceed the ceiling 100000000"),
         (["construct", "--family", "oa-gdd", "--k", "300000000", "--r", "1"],

@@ -474,15 +474,20 @@ def test_shape_checks_refuse_what_the_combined_design_hides(cover, message):
 @pytest.mark.parametrize("k", [4, 9])
 def test_a_cover_is_counted_once(monkeypatch, k):
     calls = []
-    real = verify.first_miscount
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(real):
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-    # every module that could count the cover's subsets
-    for module in (constructions, verify):
-        monkeypatch.setattr(module, "first_miscount", spy, raising=False)
+        return counted
+
+    # every kernel, in every module that could count the cover's subsets:
+    # the packed count at t = 2, first_miscount at any other t
+    for name in ("first_miscount", "_pair_miscount"):
+        counted = spy(getattr(verify, name))
+        for module in (constructions, verify):
+            monkeypatch.setattr(module, name, counted, raising=False)
     cover = base_system(k)
     combine_partition(cover)
     assert len(calls) == 1

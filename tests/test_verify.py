@@ -35,6 +35,7 @@ from design_forge import (
     verify_steiner,
 )
 from design_forge import verify
+from design_forge.core import first_miscount, word_count, word_supports
 from design_forge.verify import _coverage_distance
 from tests.conftest import brute_force_min_distance, build_toy_large_set, verified_roster
 
@@ -122,10 +123,10 @@ def test_single_symbol_distance_matches_the_pairwise_pass():
 
 
 @st.composite
-def _relabelled(draw):
-    """A roster design with its coordinates permuted and the symbols of
-    each coordinate relabelled."""
-    design = draw(st.sampled_from(verified_roster()))
+def _relabelled(draw, where=lambda design: True):
+    """A roster design (one that `where` accepts) with its coordinates
+    permuted and the symbols of each coordinate relabelled."""
+    design = draw(st.sampled_from([d for d in verified_roster() if where(d)]))
     sizes = design.alphabet.sizes
     perm = draw(st.permutations(range(len(sizes))))
     relabel = [draw(st.permutations(range(1, q))) for q in sizes]
@@ -224,6 +225,83 @@ def test_any_single_block_change_is_rejected_with_a_rechecked_word(design):
     # re-check by hand: the word's true cover count on the changed design
     count = sum(covers(b, ce.word, design.alphabet) for b in design.blocks)
     assert count == ce.count != 1
+
+
+@st.composite
+def _band_edits(draw):
+    """A relabelled t = 2 roster design with a nonbinary coordinate, after
+    one to four edits of blocks through a nonbinary coordinate: deleted,
+    duplicated, another symbol there, or an entry moved.  Their bad words
+    lie in a nonbinary coordinate's band, where the packed count's slot
+    order (c1, s1, c2, s2) and the contract's (c1, c2, s1, s2) differ."""
+    design = draw(_relabelled(lambda d: d.t == 2 and max(d.alphabet.sizes) > 2))
+    sizes = design.alphabet.sizes
+    big = {c for c, q in enumerate(sizes) if q > 2}
+    blocks = list(design.blocks)
+    for _ in range(draw(st.integers(1, 4))):
+        through = [i for i, b in enumerate(blocks) if big.intersection(b.coordinates)]
+        assume(through)
+        i = draw(st.sampled_from(through))
+        support = dict(blocks[i].support)
+        change = draw(st.sampled_from(("delete", "duplicate", "symbol", "move")))
+        if change == "delete":
+            del blocks[i]
+        elif change == "duplicate":
+            blocks.insert(draw(st.integers(0, len(blocks))), blocks[i])
+        elif change == "symbol":
+            c = draw(st.sampled_from(sorted(big.intersection(support))))
+            support[c] = draw(st.integers(1, sizes[c] - 1))
+        else:
+            free = [c for c in range(len(sizes)) if c not in support]
+            assume(free)
+            del support[draw(st.sampled_from(sorted(support)))]
+            c = draw(st.sampled_from(free))
+            support[c] = draw(st.integers(1, sizes[c] - 1))
+        if change in ("symbol", "move"):
+            blocks[i] = Codeword(tuple(support.items()))
+    return MixedDesign(design.alphabet, 2, design.k, tuple(blocks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_band_edits())
+def test_packed_pair_count_names_what_first_miscount_names(design):
+    alphabet, total = design.alphabet, word_count(design.alphabet, 2)
+    subwords = [w for b in design.blocks for w in combinations(b.support, 2)]
+    want = first_miscount(subwords, total, lambda: word_supports(alphabet, 2))
+    assert verify._pair_miscount(alphabet, design.blocks, total) == want
+
+
+@pytest.mark.parametrize("copies", [254, 255, 256, 300])
+def test_packed_pair_count_reports_a_saturated_count_exactly(copies):
+    # a byte stops at 255; the violator's count is then recounted
+    gdd = construct_from_oa(4, 2)
+    block = gdd.blocks[-1]
+    design = MixedDesign(gdd.alphabet, 2, 4, gdd.blocks + (block,) * (copies - 1))
+    ce = verify_gdd(design).counterexample
+    assert ce.word == Codeword(block.support[:2]) and ce.count == copies
+    assert ce.detail.endswith(f"covered {copies} times, want exactly 1")
+
+
+def test_a_t_2_reject_walks_no_words(monkeypatch):
+    walks = []
+    real = verify.word_supports
+
+    def spy(alphabet, t):
+        walks.append(t)
+        return real(alphabet, t)
+
+    monkeypatch.setattr(verify, "word_supports", spy)
+    plane, classes = resolvable_affine(4)
+    hybrid = construct_hybrid_ms(plane, classes, 2)
+    for design in (plane, hybrid):
+        for blocks in (design.blocks[:-1], design.blocks[1:] + design.blocks[:1] * 2):
+            changed = MixedDesign(design.alphabet, 2, design.k, blocks)
+            assert not verify_gdd(changed).ok
+    assert walks == []
+    # a t = 1 reject still walks its words in order
+    shape = _pair_design()
+    assert not verify_gdd(MixedDesign(shape.alphabet, 1, 3, shape.blocks[:1])).ok
+    assert walks == [1]
 
 
 def test_ms_reject_names_the_least_witness_pair():
