@@ -100,13 +100,21 @@ def ms1_feasible(sizes, k: int) -> Ms1Feasibility:
     """Necessary arithmetic for MS(1, k, Q): with q_1 <= ... <= q_n,
     sum_{i<n}(q_i - 1) - (q_n - 1)(k - 1) must be nonnegative and divisible
     by k.  Input order does not matter; it is sorted ascending here."""
+    _, difference, residue = _ms1_arithmetic(sizes, k)
+    return Ms1Feasibility(difference >= 0 and residue == 0, difference, residue)
+
+
+def _ms1_arithmetic(sizes, k: int):
+    """The sizes sorted ascending, with ms1_feasible's difference and its
+    residue mod k: the one sort that both ms1_feasible and ms1_construct
+    use.  k is checked before the sizes are read."""
     if k < 2:
         raise ValueError("k must be >= 2")
     q = sorted(sizes)
-    if len(q) < 1 or any(s < 2 for s in q):
+    if not q or q[0] < 2:
         raise ValueError(f"alphabet sizes must all be >= 2, got {tuple(sizes)}")
-    difference = sum(s - 1 for s in q[:-1]) - (q[-1] - 1) * (k - 1)
-    return Ms1Feasibility(difference >= 0 and difference % k == 0, difference, difference % k)
+    difference = sum(q) - q[-1] - (len(q) - 1) - (q[-1] - 1) * (k - 1)
+    return q, difference, difference % k
 
 
 def ms1_construct(sizes, k: int) -> MixedDesign:
@@ -131,13 +139,12 @@ def ms1_construct(sizes, k: int) -> MixedDesign:
        the budget runs out, which leaves the question open.
 
     The design is checked at distance 2k - 1 before it is returned."""
-    feas = ms1_feasible(sizes, k)
-    if not feas.feasible:
-        why = f"difference {feas.difference}"
-        if feas.difference >= 0:
-            why += f", residue {feas.residue}"
-        raise Infeasible(f"infeasible: {why} (alphabet {tuple(sorted(sizes))}, k={k})")
-    q = sorted(sizes)
+    q, difference, residue = _ms1_arithmetic(sizes, k)
+    if difference < 0 or residue:
+        why = f"difference {difference}"
+        if difference >= 0:
+            why += f", residue {residue}"
+        raise Infeasible(f"infeasible: {why} (alphabet {tuple(q)}, k={k})")
     d = [s - 1 for s in q]
     refuted = _ms1_bound(d, k)
     if refuted is not None:

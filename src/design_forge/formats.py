@@ -222,7 +222,7 @@ def oa_from_text(text: str) -> OrthogonalArray:
     _require(bool(lines), "empty input")
     head = lines[0].split()
     _require(
-        len(head) == 4 and head[0] == "OA" and all(p.isdigit() for p in head[1:]),
+        len(head) == 4 and head[0] == "OA" and all(p.isdecimal() for p in head[1:]),
         f"header must be 'OA <strength> <columns> <alphabet>', got {lines[0]!r}",
     )
     strength, columns, alphabet = (int(p) for p in head[1:])
@@ -231,14 +231,14 @@ def oa_from_text(text: str) -> OrthogonalArray:
         parts = ln.split()
         if len(parts) == 1 and columns > 1:
             _require(
-                alphabet <= 10 and len(parts[0]) == columns and parts[0].isdigit(),
+                alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),
                 f"row {ln!r} is not {columns} digits",
             )
             row = tuple(int(ch) for ch in parts[0])
         else:
             _require(
                 len(parts) == columns and all(
-                    p.isdigit() or (p.startswith("-") and p[1:].isdigit()) for p in parts
+                    p.isdecimal() or (p.startswith("-") and p[1:].isdecimal()) for p in parts
                 ),
                 f"row {ln!r} does not hold {columns} ints",
             )

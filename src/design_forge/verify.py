@@ -188,7 +188,11 @@ def _coverage_distance(design: MixedDesign) -> int | float | None:
     more entries than the n coordinates puts some coordinate in two blocks
     (2k - 1), else the blocks are disjoint (2k).  B*C(k, 2) <= C(n, 2) is
     necessary for the coordinate pairs to be distinct, so it is checked
-    before they are listed.
+    before they are listed.  At t = 2 none are listed: coverage makes
+    B*C(k, 2) the number of weight-2 words, sum_{i<j}(q_i - 1)(q_j - 1),
+    which exceeds C(n, 2) once some q_i > 2.  So only an all-binary design
+    gets here, and two of its blocks on the same two coordinates would both
+    hold symbol 1 at each and cover that weight-2 word twice.
 
     Otherwise some coordinate pair lies in two blocks, and when t = 2 and at
     most one coordinate c has q_c > 2 the distance is 2k - 3.  Coverage lets
@@ -199,7 +203,9 @@ def _coverage_distance(design: MixedDesign) -> int | float | None:
     if b < 2:
         return math.inf
     if b * (k * (k - 1) // 2) <= n * (n - 1) // 2:
-        pairs = [(u[0], v[0]) for blk in design.blocks for u, v in combinations(blk.support, 2)]
+        pairs = ()
+        if design.t != 2:
+            pairs = [(u[0], v[0]) for blk in design.blocks for u, v in combinations(blk.support, 2)]
         if len(set(pairs)) == len(pairs):
             entries = b * k
             return 2 * k - (entries > sum(design.alphabet.group_sizes)) - (entries > n)

@@ -444,6 +444,14 @@ def test_verify_oa_report_bytes(tmp_path):
     )
 
 
+def test_verify_oa_names_a_row_with_a_superscript_digit(tmp_path):
+    path = tmp_path / "array.oa"
+    path.write_text("OA 2 2 2\n0 0\n0 1\n1 0\n\u00b2 1\n")
+    result = run_cli("verify", "--claim", "oa", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: row '\u00b2 1' does not hold 2 ints\n"
+
+
 def test_verify_oa_max_words_exits_2(tmp_path):
     out = tmp_path / "square.oa"
     run_cli("oa", "--kind", "square", "--q", "3", "-o", str(out))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 from itertools import combinations_with_replacement
 
@@ -53,12 +54,43 @@ def test_ms1_feasible_table():
 
 
 def test_ms1_feasible_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        ms1_feasible((2, 2), 1)
-    with pytest.raises(ValueError):
-        ms1_feasible((2, 1, 3), 2)
-    with pytest.raises(ValueError):
-        ms1_feasible((), 2)
+    # k is checked before the sizes are read, and a bad size is named with
+    # the sizes in input order; ms1_construct refuses the same way
+    for check in (ms1_feasible, ms1_construct):
+        with pytest.raises(ValueError, match=r"^k must be >= 2$"):
+            check((2, 2), 1)
+        with pytest.raises(ValueError, match=r"^k must be >= 2$"):
+            check([None], 1)
+        with pytest.raises(ValueError) as err:
+            check((2, 1, 3), 2)
+        assert str(err.value) == "alphabet sizes must all be >= 2, got (2, 1, 3)"
+        with pytest.raises(ValueError) as err:
+            check((), 2)
+        assert str(err.value) == "alphabet sizes must all be >= 2, got ()"
+
+
+def _reference_ms1_feasible(sizes, k):
+    """The arithmetic as first written: generator sums over a sorted copy."""
+    q = sorted(sizes)
+    difference = sum(s - 1 for s in q[:-1]) - (q[-1] - 1) * (k - 1)
+    return (difference >= 0 and difference % k == 0, difference, difference % k)
+
+
+def test_ms1_feasible_matches_the_reference_on_the_wider_grid():
+    # n <= 12, sizes 2..7, k 2..6, each alphabet in a shuffled order
+    rng = random.Random(18)
+    cases = 0
+    for n in range(1, 13):
+        for sizes in combinations_with_replacement(range(2, 8), n):
+            shuffled = list(sizes)
+            rng.shuffle(shuffled)
+            for k in range(2, 7):
+                feas = ms1_feasible(shuffled, k)
+                assert (feas.feasible, feas.difference, feas.residue) == (
+                    _reference_ms1_feasible(sizes, k)
+                ), (shuffled, k)
+                cases += 1
+    assert cases == 92815
 
 
 def test_ms1_construct_frozen_example():
@@ -74,6 +106,10 @@ def test_ms1_construct_infeasible():
     with pytest.raises(Infeasible) as err:
         ms1_construct((2, 2, 3), 3)
     assert "difference -2" in str(err.value)
+    # the alphabet is named sorted; a nonnegative difference adds its residue
+    with pytest.raises(Infeasible) as err:
+        ms1_construct((3, 2, 2, 3, 2), 3)
+    assert str(err.value) == "infeasible: difference 1, residue 1 (alphabet (2, 2, 2, 3, 3), k=3)"
 
 
 def test_ms1_construct_binary_alphabets():

@@ -213,6 +213,10 @@ _ENTRY = "block entry must be a [coordinate, symbol] pair, got "
         (cover_from_json, _C % "[[0,true]]", "point block must be a list of ints, got [0, True]"),
         (cover_from_json, _C % "[[0,1.5]]", "point block must be a list of ints, got [0, 1.5]"),
         (cover_from_json, '{"n":4,"t":2,"k":3,"R":[],"classes":[[[0,"1"]]]}', "point block must be a list of ints, got [0, '1']"),
+        # a superscript two is a digit to str.isdigit but not to int
+        (oa_from_text, "OA 2 2 2\n\u00b2 1\n", "row '\u00b2 1' does not hold 2 ints"),
+        (oa_from_text, "OA \u00b2 2 2\n00\n", "header must be 'OA <strength> <columns> <alphabet>', got 'OA \u00b2 2 2'"),
+        (oa_from_text, "OA 2 2 2\n0\u00b2\n", "row '0\u00b2' is not 2 digits"),
     ],
 )
 def test_reader_error_texts(read, text, message):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
 from unittest import mock
 
@@ -147,12 +148,36 @@ def test_coverage_distance_matches_the_pairwise_pass(design):
     oracle = brute_force_min_distance(design)[0]
     value = _coverage_distance(design)
     assert value is None or value == oracle
+    if design.t == 2:
+        # coverage makes B*C(k, 2) the weight-2 word count, which reaches
+        # C(n, 2) only when every coordinate is binary (_coverage_distance
+        # lists no coordinate pair at t = 2 on that account)
+        n, pairs = design.alphabet.n, len(design.blocks) * (design.k * (design.k - 1) // 2)
+        assert pairs == word_count(design.alphabet, 2)
+        assert pairs >= n * (n - 1) // 2
+        assert (pairs == n * (n - 1) // 2) == (set(design.alphabet.sizes) == {2})
     settled = design.t == 2 and sum(q > 2 for q in design.alphabet.sizes) <= 1
     if settled:
         assert value is not None  # at most one nonbinary coordinate at t = 2
     with mock.patch.object(verify, "min_distance", wraps=min_distance) as pass_:
         assert verify_mixed_steiner(design).stats["min_distance"] == oracle
     assert not (settled and pass_.called)
+
+
+def test_coverage_distance_lists_no_pair_on_an_all_binary_t_2_design():
+    # the AG(2,5) hybrid at i = 6 is an S(2,5,101) with 505 blocks: listing
+    # its 5050 coordinate pairs in a set peaks near 850 kB on CPython 3.11
+    plane, classes = resolvable_affine(5)
+    design = construct_hybrid_ms(plane, classes, 6)
+    assert set(design.alphabet.sizes) == {2}
+    tracemalloc.start()
+    try:
+        value = _coverage_distance(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == brute_force_min_distance(design)[0] == 8
+    assert peak < 2**16
 
 
 def test_counting_leaves_two_nonbinary_coordinates_and_t_3_to_the_pass(monkeypatch):
