@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 from .constructions import PartitionedCover
 from .core import Codeword, LargeSet, MixedAlphabet, MixedDesign, Resolution
@@ -226,9 +227,18 @@ def oa_from_text(text: str) -> OrthogonalArray:
         f"header must be 'OA <strength> <columns> <alphabet>', got {lines[0]!r}",
     )
     strength, columns, alphabet = (int(p) for p in head[1:])
+    split = [ln.split() for ln in lines[1:]]
+    # the common case, rows of `columns` unsigned decimal ints, is read and
+    # range-checked in whole-array passes; anything else, a bad row included,
+    # goes through the per-row loop, which names the first bad row
+    if all(map(columns.__eq__, map(len, split))) and all(
+        map(str.isdecimal, chain.from_iterable(split))
+    ):
+        rows = [tuple(map(int, parts)) for parts in split]
+        if not rows or max(map(max, rows)) < alphabet:
+            return OrthogonalArray(strength, columns, alphabet, tuple(rows))
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    for ln, parts in zip(lines[1:], split):
         if len(parts) == 1 and columns > 1:
             _require(
                 alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
+from operator import add, mul
 
 from .core import first_miscount
 from .errors import StrengthExceedsColumns, VerificationLimitExceeded
@@ -32,6 +33,8 @@ class OrthogonalArray:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.alphabet < 1:
+            raise ValueError(f"alphabet must be >= 1, got {self.alphabet}")
         for row in self.rows:
             if len(row) != self.columns:
                 raise ValueError(f"row {row} has {len(row)} entries, not {self.columns}")
@@ -99,7 +102,9 @@ def verify_oa(
     """Exhaustively check strength t: every t columns must carry every t-tuple
     over 0..alphabet-1 exactly once.  On failure the first violation in
     (column set, symbol tuple) lexicographic order is reported.  The
-    C(columns, t) x rows tuples read are bounded by the verifiers' ceiling."""
+    C(columns, t) x rows tuples read are bounded by the verifiers' ceiling.
+    Only a column set that its base-k keys cannot accept is counted as
+    tuples, and an array of other than alphabet^t rows reads one set."""
     if t < 1:
         raise ValueError("strength must be >= 1")
     if t > array.columns:
@@ -108,16 +113,42 @@ def verify_oa(
         )
     tuples = math.comb(array.columns, t) * len(array.rows)
     _within_ceiling(tuples, "column-set tuples", _word_ceiling(max_words))
-    k = array.alphabet
+    k, rows = array.alphabet, array.rows
+    total = k**t
     symbols = range(k)
-    table = [[row[c] for row in array.rows] for c in range(array.columns)]
+    if len(rows) == total:
+        table = list(zip(*rows))
+        sets = combinations(range(array.columns), t)
+    else:
+        # too few rows leave a tuple out, and too many repeat one or hold a
+        # stray symbol, so the first column set fails and is the only one read
+        table = [[row[c] for row in rows] for c in range(t)]
+        sets = [tuple(range(t))]
     # first_miscount trusts that every key is over 0..k-1, so only an array
-    # holding another symbol (1.5 and -1 alike) filters its keys
-    stray = not all(s in symbols for column in table for s in column)
-    for cols in combinations(range(array.columns), t):
+    # holding another symbol (1.5 and -1 alike) filters its keys.  Each
+    # distinct symbol is looked up once: equal symbols are equally stray
+    stray = not all(map(symbols.__contains__, set(chain.from_iterable(table))))
+    fast = not stray and len(rows) == total
+    if fast:
+        # the rows of a column set read as base-k ints, one per row, are
+        # distinct exactly when they carry every t-tuple once.  scaled[j]
+        # holds the columns that can stand at place j < t - 1 times that
+        # place's weight k**(t-1-j); the last place is the column itself
+        span = array.columns - t + 1
+        scaled = [
+            [list(map(mul, table[c], repeat(k ** (t - 1 - j)))) for c in range(j, span + j)]
+            for j in range(t - 1)
+        ]
+    for cols in sets:
+        if fast:
+            keys = table[cols[-1]]
+            for j in range(t - 1):
+                keys = map(add, keys, scaled[j][cols[j] - j])
+            if len(set(keys)) == total:
+                continue
         keys = list(zip(*(table[c] for c in cols)))
         inside = [key for key in keys if all(s in symbols for s in key)] if stray else keys
-        miss = first_miscount(inside, k**t, lambda: product(symbols, repeat=t))
+        miss = first_miscount(inside, total, lambda: product(symbols, repeat=t))
         if miss is None and len(inside) < len(keys):
             bad = min(set(keys).difference(inside))
             miss = bad, keys.count(bad)

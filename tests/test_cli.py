@@ -219,6 +219,33 @@ def test_oa_fails_fast_within_1_gb(tmp_path, argv, message):
 
 
 @pytest.mark.parametrize(
+    "header, code, out, err",
+    [
+        # C(30000, 2) column sets, each of which no row could fail
+        ("OA 2 30000 0", 2, "", "error: alphabet must be >= 1, got 0\n"),
+        ("OA 1 3 0", 2, "", "error: alphabet must be >= 1, got 0\n"),
+        # no rows where 4 are needed: the first column set misses (0, 0),
+        # and no other column is read
+        ("OA 2 100000000 2", 1,
+         '{"columns":[0,1],"count":0,"ok":false,"strength":2,"symbols":[0,0]}\n', ""),
+    ],
+)
+def test_verify_oa_hostile_headers_fail_fast_within_1_gb(tmp_path, header, code, out, err):
+    path = tmp_path / "array.oa"
+    path.write_text(header + "\n")
+    env = {k: v for k, v in os.environ.items() if k != "DESIGN_FORGE_MAX_WORDS"}
+    result = subprocess.run(
+        [sys.executable, "-m", "design_forge.cli", "verify", "--claim", "oa", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=_limit_memory_to_1_gb,
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["construct", "--family", "hybrid", "--k", "25", "--i", "0"],
@@ -373,6 +400,17 @@ def test_verify_largeset_refuses_t_outside_1_to_k(tmp_path, t):
     result = run_cli("verify", "--claim", "largeset", "--t", str(t), str(path))
     assert result.returncode == 2
     assert result.stderr == f"error: need 1 <= t <= k, got t={t} k=3\n"
+    assert result.stdout == ""
+
+
+def test_verify_largeset_refuses_k_above_n(tmp_path):
+    # a block of 3 nonzero coordinates over 1 coordinate: the refusal names
+    # k and n, not the word count's own bound
+    path = tmp_path / "ls.json"
+    path.write_text('{"alphabet":[3],"t":1,"k":3,"copies":[]}')
+    result = run_cli("verify", "--claim", "largeset", str(path))
+    assert result.returncode == 2
+    assert result.stderr == "error: need k <= n, got k=3 n=1\n"
     assert result.stdout == ""
 
 

@@ -15,6 +15,7 @@ from design_forge import (
     LargeSet,
     MixedAlphabet,
     MixedDesign,
+    OrthogonalArray,
     PartitionedCover,
     Resolution,
     VerificationReport,
@@ -27,6 +28,7 @@ from design_forge import (
     largeset_from_json,
     largeset_to_json,
     min_distance,
+    oa_extended,
     oa_from_text,
     oa_square,
     oa_to_text,
@@ -429,6 +431,75 @@ def test_oa_text_errors():
         oa_from_text("OA 2 3 3\n0 0")  # not enough ints
     with pytest.raises(FormatError):
         oa_from_text("OA 2 3 3\n0 0 7")  # symbol out of range
+
+
+def _reference_oa_from_text(text: str) -> OrthogonalArray:
+    """oa_from_text as it was before its whole-array pass: every row goes
+    through the per-row checks."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty input")
+    head = lines[0].split()
+    if not (len(head) == 4 and head[0] == "OA" and all(p.isdecimal() for p in head[1:])):
+        raise FormatError(f"header must be 'OA <strength> <columns> <alphabet>', got {lines[0]!r}")
+    strength, columns, alphabet = (int(p) for p in head[1:])
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) == 1 and columns > 1:
+            if not (alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal()):
+                raise FormatError(f"row {ln!r} is not {columns} digits")
+            row = tuple(int(ch) for ch in parts[0])
+        else:
+            if not (len(parts) == columns and all(
+                p.isdecimal() or (p.startswith("-") and p[1:].isdecimal()) for p in parts
+            )):
+                raise FormatError(f"row {ln!r} does not hold {columns} ints")
+            row = tuple(int(p) for p in parts)
+        if not all(0 <= s < alphabet for s in row):
+            raise FormatError(f"row {ln!r} has symbols outside 0..{alphabet - 1}")
+        rows.append(row)
+    return OrthogonalArray(strength, columns, alphabet, tuple(rows))
+
+
+def _read_oa(read, text):
+    try:
+        return read(text)
+    except (FormatError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        oa_to_text(oa_square(3)),
+        oa_to_text(oa_extended(4)),
+        oa_to_text(oa_extended(11)),  # two-digit symbols
+        "OA 2 3 3\n012\n120\n201\n",  # digit-string rows
+        "OA 2 3 3\n012\n1 2 0\n  2 0 1  \n\n",  # mixed, padded, a blank line
+        "OA 1 2 4\n\u0663 1\n0 2\n",  # an Arabic-Indic three is a decimal
+        "OA 1 2 4\n\u06630\n",
+        "OA 1 2 4\n0 -1\n",
+        "OA 1 2 4\n-0 1\n",
+        "OA 1 2 4\n0 \u00b2\n",  # a superscript two is not
+        "OA 1 2 4\n0 4\n",  # out of range
+        "OA 1 2 4\n0 1\n3 40\n",  # out of range in a later row
+        "OA 1 2 12\n0 11\n11 12\n",
+        "OA 1 3 4\n0 1\n",  # a short row
+        "OA 1 3 4\n0 1 2\n0 1 2 3\n",  # a long row
+        "OA 1 3 4\n01\n",
+        "OA 1 1 3\n0\n2\n1\n",  # one column
+        "OA 1 1 3\n00\n",
+        "OA 1 1 3\n3\n",
+        "OA 2 3 3\n",  # no rows
+        "OA 2 30000 0\n",  # no symbols
+        "OA 1 2 0\n0 0\n",
+        "OA 1 2 3\n0 x\n",
+        "OA 1 2 3\n0 1.0\n",
+    ],
+)
+def test_oa_reader_matches_the_per_row_reference(text):
+    assert _read_oa(oa_from_text, text) == _read_oa(_reference_oa_from_text, text)
 
 
 def test_min_distance_survives_roundtrip():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
+from itertools import combinations, product
+
 import pytest
 
 import design_forge.oa as oa_module
@@ -14,8 +18,11 @@ from design_forge import (
     oa_extended,
     oa_square,
     oa_sum,
+    report_to_json,
     verify_oa,
 )
+from design_forge.core import first_miscount
+from design_forge.verify import Counterexample, VerificationReport, _within_ceiling, _word_ceiling
 from tests.conftest import load_oa
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -263,3 +270,115 @@ def test_reference_array_9x4(fixture_d):
 def test_fixture_loader_roundtrip():
     array = load_oa("a_k4.oa")
     assert array.strength == 2 and len(array.rows) == 16
+
+
+def test_orthogonal_array_refuses_an_empty_alphabet():
+    with pytest.raises(ValueError, match="^alphabet must be >= 1, got 0$"):
+        OrthogonalArray(2, 30000, 0, ())
+    assert OrthogonalArray(1, 2, 1, ((0, 0),)).alphabet == 1
+
+
+def _reference_verify_oa(array, t, max_words=None):
+    """verify_oa as it was before its accept test read base-k keys: every
+    column set's rows become tuple keys counted by first_miscount."""
+    if t < 1:
+        raise ValueError("strength must be >= 1")
+    if t > array.columns:
+        raise StrengthExceedsColumns(
+            f"strength {t} exceeds {array.columns} columns"
+        )
+    tuples = math.comb(array.columns, t) * len(array.rows)
+    _within_ceiling(tuples, "column-set tuples", _word_ceiling(max_words))
+    k = array.alphabet
+    symbols = range(k)
+    table = [[row[c] for row in array.rows] for c in range(array.columns)]
+    stray = not all(s in symbols for column in table for s in column)
+    for cols in combinations(range(array.columns), t):
+        keys = list(zip(*(table[c] for c in cols)))
+        inside = [key for key in keys if all(s in symbols for s in key)] if stray else keys
+        miss = first_miscount(inside, k**t, lambda: product(symbols, repeat=t))
+        if miss is None and len(inside) < len(keys):
+            bad = min(set(keys).difference(inside))
+            miss = bad, keys.count(bad)
+        if miss is not None:
+            syms, c = miss
+            ce = Counterexample(
+                kind="strength",
+                detail=f"columns {cols} carry {syms} {c} times, want exactly 1",
+                count=c,
+                columns=cols,
+                symbols=syms,
+            )
+            return VerificationReport(False, "oa", ce, {"strength": t})
+    return VerificationReport(True, "oa", stats={"strength": t})
+
+
+def _edited(array, edit, seed):
+    """The array with one seeded edit: a row deleted or duplicated, a cell
+    changed to another symbol or set to a given value, or every row gone."""
+    rng = random.Random(f"{seed}:{edit}")
+    rows = [list(row) for row in array.rows]
+    i, c = rng.randrange(len(rows)), rng.randrange(array.columns)
+    k = array.alphabet
+    if edit == "delete":
+        del rows[i]
+    elif edit == "duplicate":
+        rows.insert(rng.randrange(len(rows) + 1), list(rows[i]))
+    elif edit == "change":
+        rows[i][c] = (rows[i][c] + rng.randrange(1, k)) % k
+    elif edit == "empty":
+        rows = []
+    elif edit != "none":
+        rows[i][c] = {"-1": -1, "k": k, "1.5": 1.5, "True": True}[edit]
+    return OrthogonalArray(array.strength, array.columns, k, tuple(map(tuple, rows)))
+
+
+def _outcome(verify, array, t):
+    try:
+        return report_to_json(verify(array, t))
+    except (ValueError, StrengthExceedsColumns) as exc:
+        return type(exc).__name__, str(exc)
+
+
+REFERENCE_ARRAYS = (
+    [(f"square-{q}", oa_square, (q,)) for q in ORDERS]
+    + [(f"extended-{q}", oa_extended, (q,)) for q in ORDERS]
+    + [(f"sum-{t}-{k}", oa_sum, (t, k)) for t, k in [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]]
+)
+EDITS = ["none", "delete", "duplicate", "change", "-1", "k", "1.5", "True", "empty"]
+
+
+@pytest.mark.parametrize("edit", EDITS)
+@pytest.mark.parametrize("build, args", [a[1:] for a in REFERENCE_ARRAYS], ids=[a[0] for a in REFERENCE_ARRAYS])
+def test_verify_oa_matches_the_tuple_count_reference(build, args, edit):
+    base = build(*args)
+    for seed in range(2):
+        array = _edited(base, edit, seed)
+        for t in (1, 2, 3):
+            assert _outcome(verify_oa, array, t) == _outcome(_reference_verify_oa, array, t)
+
+
+@pytest.mark.parametrize("build, args", [a[1:] for a in REFERENCE_ARRAYS], ids=[a[0] for a in REFERENCE_ARRAYS])
+def test_verify_oa_accepts_without_counting_tuples(monkeypatch, build, args):
+    # an array of alphabet^t rows over 0..alphabet-1 is accepted by its base-k
+    # keys alone; the tuple count runs only for a column set they reject
+    def counted(*args):
+        raise AssertionError("a column set of a valid array was counted as tuples")
+
+    array = build(*args)
+    monkeypatch.setattr(oa_module, "first_miscount", counted)
+    assert verify_oa(array, array.strength).ok
+
+
+def test_verify_oa_reads_one_column_set_when_the_row_count_is_wrong():
+    # C(10^8, 2) column sets of no rows: the first already misses (0, 0)
+    array = OrthogonalArray(2, 10**8, 2, ())
+    report = verify_oa(array, 2)
+    assert report_to_json(report) == (
+        '{"columns":[0,1],"count":0,"ok":false,"strength":2,"symbols":[0,0]}\n'
+    )
+    # one extra row: the repeat is found in columns (0, 1, 2) at strength 3
+    rows = oa_sum(4, 2).rows
+    report = verify_oa(OrthogonalArray(3, 4, 2, rows + rows[-1:]), 3)
+    assert report.counterexample.columns == (0, 1, 2)
+    assert report.counterexample.count == 2
