@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 
 from .constructions import PartitionedCover
 from .core import Codeword, LargeSet, MixedAlphabet, MixedDesign, Resolution
@@ -227,18 +226,9 @@ def oa_from_text(text: str) -> OrthogonalArray:
         f"header must be 'OA <strength> <columns> <alphabet>', got {lines[0]!r}",
     )
     strength, columns, alphabet = (int(p) for p in head[1:])
-    split = [ln.split() for ln in lines[1:]]
-    # the common case, rows of `columns` unsigned decimal ints, is read and
-    # range-checked in whole-array passes; anything else, a bad row included,
-    # goes through the per-row loop, which names the first bad row
-    if all(map(columns.__eq__, map(len, split))) and all(
-        map(str.isdecimal, chain.from_iterable(split))
-    ):
-        rows = [tuple(map(int, parts)) for parts in split]
-        if not rows or max(map(max, rows)) < alphabet:
-            return OrthogonalArray(strength, columns, alphabet, tuple(rows))
     rows = []
-    for ln, parts in zip(lines[1:], split):
+    for ln in lines[1:]:
+        parts = ln.split()
         if len(parts) == 1 and columns > 1:
             _require(
                 alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),
@@ -246,15 +236,20 @@ def oa_from_text(text: str) -> OrthogonalArray:
             )
             row = tuple(int(ch) for ch in parts[0])
         else:
+            # a row of unsigned decimal ints is tested and read in C-level
+            # passes; only a row holding another token is walked for a '-'
             _require(
-                len(parts) == columns and all(
-                    p.isdecimal() or (p.startswith("-") and p[1:].isdecimal()) for p in parts
+                len(parts) == columns and (
+                    all(map(str.isdecimal, parts)) or all(
+                        p.isdecimal() or (p.startswith("-") and p[1:].isdecimal())
+                        for p in parts
+                    )
                 ),
                 f"row {ln!r} does not hold {columns} ints",
             )
-            row = tuple(int(p) for p in parts)
+            row = tuple(map(int, parts))
         _require(
-            all(0 <= s < alphabet for s in row),
+            0 <= min(row) and max(row) < alphabet,
             f"row {ln!r} has symbols outside 0..{alphabet - 1}",
         )
         rows.append(row)

@@ -102,34 +102,40 @@ def verify_oa(
     """Exhaustively check strength t: every t columns must carry every t-tuple
     over 0..alphabet-1 exactly once.  On failure the first violation in
     (column set, symbol tuple) lexicographic order is reported.  The
-    C(columns, t) x rows tuples read are bounded by the verifiers' ceiling.
-    Only a column set that its base-k keys cannot accept is counted as
-    tuples, and an array of other than alphabet^t rows reads one set."""
+    C(columns, t) x rows tuples read, and the t symbols of the tuple a
+    failure names, are bounded by the verifiers' ceiling.  Only a column
+    set that its base-k keys cannot accept is counted as tuples, and an
+    array of other than alphabet^t rows reads one set."""
     if t < 1:
         raise ValueError("strength must be >= 1")
     if t > array.columns:
         raise StrengthExceedsColumns(
             f"strength {t} exceeds {array.columns} columns"
         )
-    tuples = math.comb(array.columns, t) * len(array.rows)
-    _within_ceiling(tuples, "column-set tuples", _word_ceiling(max_words))
     k, rows = array.alphabet, array.rows
-    total = k**t
-    symbols = range(k)
-    if len(rows) == total:
-        table = list(zip(*rows))
-        sets = combinations(range(array.columns), t)
+    ceiling = _word_ceiling(max_words)
+    # with no rows the product is 0 whatever C(columns, t) is, so it is not
+    # formed; the first column set still fails on a tuple of t symbols
+    tuples = math.comb(array.columns, t) * len(rows) if rows else 0
+    _within_ceiling(tuples, "column-set tuples", ceiling)
+    _within_ceiling(t, "symbols in a column-set tuple", ceiling)
+    # k**t >= 2**t is above the row count unless k == 1 or t is below the
+    # count's bit length.  Past that it is not formed: first_miscount only
+    # compares it with counts of rows, for which len(rows) + 1 stands in
+    if k > 1 and t >= len(rows).bit_length():
+        total = len(rows) + 1
     else:
+        total = k**t
+    if len(rows) != total:
         # too few rows leave a tuple out, and too many repeat one or hold a
         # stray symbol, so the first column set fails and is the only one read
-        table = [[row[c] for row in rows] for c in range(t)]
-        sets = [tuple(range(t))]
-    # first_miscount trusts that every key is over 0..k-1, so only an array
-    # holding another symbol (1.5 and -1 alike) filters its keys.  Each
-    # distinct symbol is looked up once: equal symbols are equally stray
-    stray = not all(map(symbols.__contains__, set(chain.from_iterable(table))))
-    fast = not stray and len(rows) == total
-    if fast:
+        cols = tuple(range(t))
+        return _strength_failure(cols, [row[:t] for row in rows], k, total, t)
+    table = list(zip(*rows))
+    # an array holding a stray symbol has no base-k keys, so each of its
+    # column sets is counted as tuples
+    stray = not all(map(range(k).__contains__, set(chain.from_iterable(table))))
+    if not stray:
         # the rows of a column set read as base-k ints, one per row, are
         # distinct exactly when they carry every t-tuple once.  scaled[j]
         # holds the columns that can stand at place j < t - 1 times that
@@ -139,27 +145,45 @@ def verify_oa(
             [list(map(mul, table[c], repeat(k ** (t - 1 - j)))) for c in range(j, span + j)]
             for j in range(t - 1)
         ]
-    for cols in sets:
-        if fast:
+    for cols in combinations(range(array.columns), t):
+        if not stray:
             keys = table[cols[-1]]
             for j in range(t - 1):
                 keys = map(add, keys, scaled[j][cols[j] - j])
             if len(set(keys)) == total:
                 continue
-        keys = list(zip(*(table[c] for c in cols)))
-        inside = [key for key in keys if all(s in symbols for s in key)] if stray else keys
-        miss = first_miscount(inside, total, lambda: product(symbols, repeat=t))
-        if miss is None and len(inside) < len(keys):
-            bad = min(set(keys).difference(inside))
-            miss = bad, keys.count(bad)
-        if miss is not None:
-            syms, c = miss
-            ce = Counterexample(
-                kind="strength",
-                detail=f"columns {cols} carry {syms} {c} times, want exactly 1",
-                count=c,
-                columns=cols,
-                symbols=syms,
-            )
-            return VerificationReport(False, "oa", ce, {"strength": t})
+        report = _strength_failure(cols, list(zip(*(table[c] for c in cols))), k, total, t)
+        if report is not None:
+            return report
     return VerificationReport(True, "oa", stats={"strength": t})
+
+
+def _strength_failure(cols, keys, k, total, t):
+    """The report on the first symbol tuple that the t-tuple keys of column
+    set cols hold other than once, or None when they hold each of the
+    `total` tuples over 0..k-1 once.  first_miscount trusts that every key
+    is over those symbols, so only keys holding another symbol (1.5 and -1
+    alike) are filtered; each distinct symbol is looked up once."""
+    symbols = range(k)
+    stray = not all(map(symbols.__contains__, set(chain.from_iterable(keys))))
+    inside = [key for key in keys if all(s in symbols for s in key)] if stray else keys
+    # the walk stops by the (len(keys) + 1)-th tuple in order, since every
+    # tuple before the first miscount is held once; those tuples are the
+    # first of the walk over the lower symbols too, so product lists no more
+    # than len(keys) + 1 symbols however large k is
+    walk = range(min(k, len(keys) + 1))
+    miss = first_miscount(inside, total, lambda: product(walk, repeat=t))
+    if miss is None and len(inside) < len(keys):
+        bad = min(set(keys).difference(inside))
+        miss = bad, keys.count(bad)
+    if miss is None:
+        return None
+    syms, c = miss
+    ce = Counterexample(
+        kind="strength",
+        detail=f"columns {cols} carry {syms} {c} times, want exactly 1",
+        count=c,
+        columns=cols,
+        symbols=syms,
+    )
+    return VerificationReport(False, "oa", ce, {"strength": t})

@@ -228,6 +228,20 @@ def test_oa_fails_fast_within_1_gb(tmp_path, argv, message):
         # and no other column is read
         ("OA 2 100000000 2", 1,
          '{"columns":[0,1],"count":0,"ok":false,"strength":2,"symbols":[0,0]}\n', ""),
+        # the walk to the missed (0, 0) lists one symbol, not 10^8
+        ("OA 2 2 100000000", 1,
+         '{"columns":[0,1],"count":0,"ok":false,"strength":2,"symbols":[0,0]}\n', ""),
+        # neither C(2*10^6, 10^6) nor (10^100)^(10^6) is formed: the missed
+        # tuple's 10^6 symbols are the only work
+        pytest.param(
+            "OA 1000000 2000000 1" + "0" * 100, 1,
+            '{"columns":[%s],"count":0,"ok":false,"strength":1000000,"symbols":[%s]}\n'
+            % (",".join(map(str, range(1000000))), ",".join("0" * 1000000)), "",
+            id="OA 1000000 2000000 10^100",
+        ),
+        # a tuple of more symbols than the ceiling is refused before it is formed
+        ("OA 1000000000 1000000000 2", 2, "",
+         "error: 1000000000 symbols in a column-set tuple exceed the ceiling 100000000\n"),
     ],
 )
 def test_verify_oa_hostile_headers_fail_fast_within_1_gb(tmp_path, header, code, out, err):

@@ -434,8 +434,8 @@ def test_oa_text_errors():
 
 
 def _reference_oa_from_text(text: str) -> OrthogonalArray:
-    """oa_from_text as it was before its whole-array pass: every row goes
-    through the per-row checks."""
+    """oa_from_text as it was before its rows were tested and read in
+    C-level calls: every token goes through a generator step."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty input")
