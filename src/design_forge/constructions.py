@@ -529,12 +529,10 @@ def _combine(cover: PartitionedCover, meta: str) -> MixedDesign:
     binary t-words are the t-subsets, the words through symbol i at the last
     coordinate are the (t-1)-subsets of class i."""
     alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
-    blocks = [Codeword(tuple((p, 1) for p in sorted(b))) for b in cover.r_blocks]
+    blocks = [Codeword(tuple((p, 1) for p in b)) for b in cover.r_blocks]
     for ci, cls in enumerate(cover.classes, start=1):
         for b in cls:
-            blocks.append(
-                Codeword(tuple((p, 1) for p in sorted(b)) + ((cover.n, ci),))
-            )
+            blocks.append(Codeword(tuple((p, 1) for p in b) + ((cover.n, ci),)))
     design = MixedDesign(alphabet, cover.t, cover.k, tuple(blocks), meta=meta)
     return _checked(design, 2 * (cover.k - cover.t) + 1)
 
@@ -557,7 +555,7 @@ def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
         cls = []
         for c in range(q):
             cls.append(len(blocks))
-            pts = sorted(x * q + f.add(f.mul(m, x), c) for x in range(q))
+            pts = (x * q + f.add(f.mul(m, x), c) for x in range(q))
             blocks.append(Codeword(tuple((p, 1) for p in pts)))
         classes.append(tuple(cls))
     cls = []

@@ -29,7 +29,8 @@ class Codeword:
 
     def __post_init__(self):
         """The one check of a support's entries: 2-item lists or tuples of
-        int (not bool), distinct coordinates >= 0 and symbols >= 1."""
+        int (not bool), distinct coordinates >= 0 and symbols >= 1, kept
+        sorted whatever order a caller passes them in."""
         pairs = []
         for p in self.support:
             if not (isinstance(p, (tuple, list)) and len(p) == 2
@@ -170,7 +171,7 @@ class Resolution:
 class LargeSet:
     """An ordered list of block-set copies over a shared alphabet, with
     multiplicity lam: every transversal k-word should be a block of exactly
-    lam copies, and each copy should be a GDD at strength t."""
+    lam copies, and each copy should be a GDD at strength 1 <= t <= k <= n."""
 
     alphabet: MixedAlphabet
     t: int
@@ -180,6 +181,10 @@ class LargeSet:
 
     def __post_init__(self):
         object.__setattr__(self, "copies", tuple(tuple(c) for c in self.copies))
+        if not 1 <= self.t <= self.k:
+            raise ValueError(f"need 1 <= t <= k, got t={self.t} k={self.k}")
+        if self.k > self.alphabet.n:
+            raise ValueError(f"need k <= n, got k={self.k} n={self.alphabet.n}")
         if self.lam < 1:
             raise ValueError("lam must be >= 1")
         for copy in self.copies:

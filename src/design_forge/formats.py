@@ -217,7 +217,8 @@ def oa_to_text(array: OrthogonalArray) -> str:
 
 def oa_from_text(text: str) -> OrthogonalArray:
     """Read the OA text format.  Rows may be space-separated ints or, for
-    alphabets of at most ten symbols, unseparated digit strings."""
+    alphabets of at most ten symbols, unseparated digit strings.
+    OrthogonalArray's refusal of the alphabet or a symbol is a FormatError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     _require(bool(lines), "empty input")
     head = lines[0].split()
@@ -234,7 +235,7 @@ def oa_from_text(text: str) -> OrthogonalArray:
                 alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),
                 f"row {ln!r} is not {columns} digits",
             )
-            row = tuple(int(ch) for ch in parts[0])
+            rows.append(tuple(int(ch) for ch in parts[0]))
         else:
             # a row of unsigned decimal ints is tested and read in C-level
             # passes; only a row holding another token is walked for a '-'
@@ -247,10 +248,8 @@ def oa_from_text(text: str) -> OrthogonalArray:
                 ),
                 f"row {ln!r} does not hold {columns} ints",
             )
-            row = tuple(map(int, parts))
-        _require(
-            0 <= min(row) and max(row) < alphabet,
-            f"row {ln!r} has symbols outside 0..{alphabet - 1}",
-        )
-        rows.append(row)
-    return OrthogonalArray(strength, columns, alphabet, tuple(rows))
+            rows.append(tuple(map(int, parts)))
+    try:
+        return OrthogonalArray(strength, columns, alphabet, tuple(rows))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc

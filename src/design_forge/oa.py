@@ -8,9 +8,8 @@ order, so the q constant rows of oa_square(q) (multiplier a = 0) come first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, filterfalse, product, repeat
 from operator import add, mul
 
 from .core import first_miscount
@@ -38,6 +37,13 @@ class OrthogonalArray:
         for row in self.rows:
             if len(row) != self.columns:
                 raise ValueError(f"row {row} has {len(row)} entries, not {self.columns}")
+        # each distinct symbol is looked up in range(alphabet) once (True is
+        # 1).  A non-int lookup scans the range, so the walk that names the
+        # first row breaking the rule starts from the stray already found
+        inside = range(self.alphabet).__contains__
+        for stray in filterfalse(inside, set(chain.from_iterable(self.rows))):
+            row = next(r for r in self.rows if stray in r or not all(map(inside, r)))
+            raise ValueError(f"row {row} has symbols outside 0..{self.alphabet - 1}")
 
 
 def mols_complete(q: int) -> list[LatinSquare]:
@@ -114,10 +120,7 @@ def verify_oa(
         )
     k, rows = array.alphabet, array.rows
     ceiling = _word_ceiling(max_words)
-    # with no rows the product is 0 whatever C(columns, t) is, so it is not
-    # formed; the first column set still fails on a tuple of t symbols
-    tuples = math.comb(array.columns, t) * len(rows) if rows else 0
-    _within_ceiling(tuples, "column-set tuples", ceiling)
+    _column_set_tuples(array.columns, t, len(rows), ceiling)
     _within_ceiling(t, "symbols in a column-set tuple", ceiling)
     # k**t >= 2**t is above the row count unless k == 1 or t is below the
     # count's bit length.  Past that it is not formed: first_miscount only
@@ -127,58 +130,52 @@ def verify_oa(
     else:
         total = k**t
     if len(rows) != total:
-        # too few rows leave a tuple out, and too many repeat one or hold a
-        # stray symbol, so the first column set fails and is the only one read
+        # too few rows leave a tuple out and too many repeat one, so the
+        # first column set fails and is the only one read
         cols = tuple(range(t))
         return _strength_failure(cols, [row[:t] for row in rows], k, total, t)
     table = list(zip(*rows))
-    # an array holding a stray symbol has no base-k keys, so each of its
-    # column sets is counted as tuples
-    stray = not all(map(range(k).__contains__, set(chain.from_iterable(table))))
-    if not stray:
-        # the rows of a column set read as base-k ints, one per row, are
-        # distinct exactly when they carry every t-tuple once.  scaled[j]
-        # holds the columns that can stand at place j < t - 1 times that
-        # place's weight k**(t-1-j); the last place is the column itself
-        span = array.columns - t + 1
-        scaled = [
-            [list(map(mul, table[c], repeat(k ** (t - 1 - j)))) for c in range(j, span + j)]
-            for j in range(t - 1)
-        ]
+    # the rows of a column set read as base-k ints, one per row, are
+    # distinct exactly when they carry every t-tuple once.  scaled[j] holds
+    # the columns that can stand at place j < t - 1 times that place's
+    # weight k**(t-1-j); the last place is the column itself
+    span = array.columns - t + 1
+    scaled = [
+        [list(map(mul, table[c], repeat(k ** (t - 1 - j)))) for c in range(j, span + j)]
+        for j in range(t - 1)
+    ]
     for cols in combinations(range(array.columns), t):
-        if not stray:
-            keys = table[cols[-1]]
-            for j in range(t - 1):
-                keys = map(add, keys, scaled[j][cols[j] - j])
-            if len(set(keys)) == total:
-                continue
-        report = _strength_failure(cols, list(zip(*(table[c] for c in cols))), k, total, t)
-        if report is not None:
-            return report
+        keys = table[cols[-1]]
+        for j in range(t - 1):
+            keys = map(add, keys, scaled[j][cols[j] - j])
+        if len(set(keys)) != total:
+            return _strength_failure(cols, list(zip(*(table[c] for c in cols))), k, total, t)
     return VerificationReport(True, "oa", stats={"strength": t})
+
+
+def _column_set_tuples(columns: int, t: int, rows: int, ceiling: int) -> int:
+    """C(columns, t) x rows held to the ceiling, built one factor at a time
+    (no rows make it 0 at once).  C(columns, i) grows with i up to columns / 2,
+    so a partial count past the ceiling is named, not completed."""
+    count = rows
+    for i in range(min(t, columns - t) if rows else 0):
+        if count > ceiling:
+            raise VerificationLimitExceeded(
+                f"C({columns}, {t}) * {rows} column-set tuples exceed the ceiling {ceiling}"
+            )
+        count = count * (columns - i) // (i + 1)
+    return _within_ceiling(count, "column-set tuples", ceiling)
 
 
 def _strength_failure(cols, keys, k, total, t):
     """The report on the first symbol tuple that the t-tuple keys of column
-    set cols hold other than once, or None when they hold each of the
-    `total` tuples over 0..k-1 once.  first_miscount trusts that every key
-    is over those symbols, so only keys holding another symbol (1.5 and -1
-    alike) are filtered; each distinct symbol is looked up once."""
-    symbols = range(k)
-    stray = not all(map(symbols.__contains__, set(chain.from_iterable(keys))))
-    inside = [key for key in keys if all(s in symbols for s in key)] if stray else keys
+    set cols hold other than once, of the `total` tuples over 0..k-1."""
     # the walk stops by the (len(keys) + 1)-th tuple in order, since every
     # tuple before the first miscount is held once; those tuples are the
     # first of the walk over the lower symbols too, so product lists no more
     # than len(keys) + 1 symbols however large k is
     walk = range(min(k, len(keys) + 1))
-    miss = first_miscount(inside, total, lambda: product(walk, repeat=t))
-    if miss is None and len(inside) < len(keys):
-        bad = min(set(keys).difference(inside))
-        miss = bad, keys.count(bad)
-    if miss is None:
-        return None
-    syms, c = miss
+    syms, c = first_miscount(keys, total, lambda: product(walk, repeat=t))
     ce = Counterexample(
         kind="strength",
         detail=f"columns {cols} carry {syms} {c} times, want exactly 1",

@@ -337,13 +337,8 @@ def verify_resolution(design: MixedDesign, resolution: Resolution) -> Verificati
 def verify_large_set(ls: LargeSet, max_words: int | None = None) -> VerificationReport:
     """Large-set check: every weight-k word over the alphabet is a block of
     exactly lam copies, and each copy separately covers every weight-t word
-    once (the GDD check at strength t, which needs 1 <= t <= k, so any
-    other t is refused before anything is counted, as is a block size k
-    above the n coordinates)."""
-    if not 1 <= ls.t <= ls.k:
-        raise ValueError(f"need 1 <= t <= k, got t={ls.t} k={ls.k}")
-    if ls.k > ls.alphabet.n:
-        raise ValueError(f"need k <= n, got k={ls.k} n={ls.alphabet.n}")
+    once (the GDD check at strength t; LargeSet already holds t to 1..k and
+    k to the n coordinates)."""
     ceiling = _word_ceiling(max_words)
     total = _within_ceiling(word_count(ls.alphabet, ls.k), f"weight-{ls.k} words", ceiling)
     stats = {

@@ -242,6 +242,13 @@ def test_oa_fails_fast_within_1_gb(tmp_path, argv, message):
         # a tuple of more symbols than the ceiling is refused before it is formed
         ("OA 1000000000 1000000000 2", 2, "",
          "error: 1000000000 symbols in a column-set tuple exceed the ceiling 100000000\n"),
+        # a 2 MB file: C(10^6, 5 * 10^5) is named once its partial count
+        # passes the ceiling, not formed
+        pytest.param(
+            "OA 500000 1000000 1\n" + " ".join("0" * 1000000), 2, "",
+            "error: C(1000000, 500000) * 1 column-set tuples exceed the ceiling 100000000\n",
+            id="OA 500000 1000000 1 with one row",
+        ),
     ],
 )
 def test_verify_oa_hostile_headers_fail_fast_within_1_gb(tmp_path, header, code, out, err):
@@ -450,6 +457,19 @@ def test_verify_largeset_refuses_t_before_counting(tmp_path, t, deleted):
     assert result.returncode == 2
     assert result.stderr == f"error: need 1 <= t <= k, got t={t} k=4\n"
     assert result.stdout == ""
+
+
+def test_transforms_refuse_a_large_set_of_strength_0(tmp_path):
+    # a t = 1 GDD of type 1^2 2^1 slices to a large set of t = 0, which
+    # neither verify --claim largeset nor either transform accepts
+    gdd = tmp_path / "gdd.json"
+    gdd.write_text('{"alphabet":[2,2,3],"t":1,"k":2,"blocks":[[[0,1],[2,1]],[[1,1],[2,2]]]}')
+    ls = tmp_path / "ls.json"
+    ls.write_text('{"alphabet":[2,2],"copies":[[[[0,1]]],[[[1,1]]]],"k":1,"lambda":1,"t":0}')
+    for direction, path in [("gdd-to-ls", gdd), ("ls-to-gdd", ls)]:
+        result = run_cli("transform", direction, str(path))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: need 1 <= t <= k, got t=0 k=1\n"
 
 
 def test_transform_rejects_corrupt_large_set(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -205,26 +206,57 @@ def test_verify_oa_rejects_bad_strength_requests():
         verify_oa(oa_square(3), 4)
 
 
-def test_verify_oa_flags_out_of_range_symbols():
-    # column 1 holds (0,) and the stray (5,): the first in-range tuple it
-    # misses is reported
-    bad = OrthogonalArray(1, 2, 2, ((0, 0), (1, 5)))
-    report = verify_oa(bad, 1)
-    assert not report.ok
-    assert report.claim == "oa"
-    ce = report.counterexample
-    assert (ce.columns, ce.symbols, ce.count) == ((1,), (1,), 0)
-    # every in-range tuple is held once, so the stray row itself is reported
-    extra = OrthogonalArray(1, 1, 2, ((0,), (1,), (2,)))
-    report = verify_oa(extra, 1)
-    assert not report.ok
-    ce = report.counterexample
-    assert (ce.columns, ce.symbols, ce.count) == ((0,), (2,), 1)
-    # a symbol between 0 and k-1 that is not one of them is out of range too
-    for rows, first in [(((0,), (1.5,)), ((1,), 0)), (((0,), (1,), (1.5,)), ((1.5,), 1))]:
-        report = verify_oa(OrthogonalArray(1, 1, 2, rows), 1)
-        assert not report.ok
-        assert (report.counterexample.symbols, report.counterexample.count) == first
+@pytest.mark.parametrize(
+    "columns, rows, named",
+    [
+        (2, ((0, 0), (1, 5)), (1, 5)),
+        (1, ((0,), (1,), (2,)), (2,)),
+        # a symbol between 0 and k-1 that is not one of them is out of range too
+        (1, ((0,), (1.5,)), (1.5,)),
+        (1, ((0,), (1,), (1.5,)), (1.5,)),
+        (2, ((0, 0), (1, -1)), (1, -1)),
+        # the first row holding any stray symbol is named, not the first row
+        # holding the least one
+        (2, ((0, 0), (1, 7), (0, 5)), (1, 7)),
+    ],
+)
+def test_orthogonal_array_refuses_symbols_outside_its_alphabet(columns, rows, named):
+    with pytest.raises(ValueError) as info:
+        OrthogonalArray(1, columns, 2, rows)
+    assert str(info.value) == f"row {named} has symbols outside 0..1"
+
+
+def test_orthogonal_array_refuses_a_float_symbol_in_one_pass_over_the_range():
+    # 1.5 in range(10**7) is a linear scan; the row is found from the
+    # stray symbol already known, so the range is scanned once
+    rows = ((0, 0),) + tuple((1.5, s) for s in range(1, 5))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^row \(1\.5, 1\) has symbols outside 0\.\.9999999$"):
+        OrthogonalArray(1, 2, 10**7, rows)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("values, scans", [((1.5,) * 4, 1), ((0.5, 1.5, 2.5, 3.5), 2)])
+def test_orthogonal_array_names_a_row_from_the_stray_already_found(values, scans):
+    # a float is looked up in range(alphabet) by comparing it with each of
+    # the 1000 symbols in turn.  Equal strays cost that scan once; distinct
+    # ones cost one more only when the stray found first is not in the
+    # first row that holds one.  A few other comparisons come from the set
+    # of distinct symbols and the row walk
+    compared = []
+
+    class Symbol(float):
+        __hash__ = float.__hash__
+
+        def __eq__(self, other):
+            compared.append(other)
+            return float.__eq__(self, other)
+
+    rows = ((0,),) + tuple((Symbol(v),) for v in values)
+    with pytest.raises(ValueError) as info:
+        OrthogonalArray(1, 1, 1000, rows)
+    assert str(info.value) == f"row ({values[0]},) has symbols outside 0..999"
+    assert len(compared) <= scans * 1000 + 2 * len(rows)
 
 
 def test_orthogonal_array_rejects_rows_of_the_wrong_length():
@@ -243,6 +275,23 @@ def test_verify_oa_word_ceiling(monkeypatch):
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "100")
     with pytest.raises(VerificationLimitExceeded):
         verify_oa(array, 2)
+
+
+def test_verify_oa_names_an_unfinished_tuple_count():
+    # C(6, 3) x 16 = 320 is built as 16 * 6 = 96, then 96 * 5 / 2 = 240,
+    # then 240 * 4 / 3: past a ceiling of 200 before the last step the count
+    # is named, while one it completes keeps its digits
+    array = OrthogonalArray(1, 6, 2, ((0,) * 6,) * 16)
+    with pytest.raises(VerificationLimitExceeded) as info:
+        verify_oa(array, 3, max_words=200)
+    assert str(info.value) == "C(6, 3) * 16 column-set tuples exceed the ceiling 200"
+    with pytest.raises(VerificationLimitExceeded) as info:
+        verify_oa(array, 3, max_words=319)
+    assert str(info.value) == "320 column-set tuples exceed the ceiling 319"
+    assert not verify_oa(array, 3, max_words=320).ok
+    # C(6, 5) = C(6, 1): one step
+    with pytest.raises(VerificationLimitExceeded, match="^96 column-set tuples"):
+        verify_oa(array, 5, max_words=95)
 
 
 def test_reference_array_16x4(fixture_a):
@@ -313,9 +362,10 @@ def _reference_verify_oa(array, t, max_words=None):
     return VerificationReport(True, "oa", stats={"strength": t})
 
 
-def _edited(array, edit, seed):
-    """The array with one seeded edit: a row deleted or duplicated, a cell
-    changed to another symbol or set to a given value, or every row gone."""
+def _edited_rows(array, edit, seed):
+    """The rows of the array with one seeded edit: a row deleted or
+    duplicated, a cell changed to another symbol or set to a given value,
+    or every row gone."""
     rng = random.Random(f"{seed}:{edit}")
     rows = [list(row) for row in array.rows]
     i, c = rng.randrange(len(rows)), rng.randrange(array.columns)
@@ -330,7 +380,12 @@ def _edited(array, edit, seed):
         rows = []
     elif edit != "none":
         rows[i][c] = {"-1": -1, "k": k, "1.5": 1.5, "True": True}[edit]
-    return OrthogonalArray(array.strength, array.columns, k, tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
+
+
+def _edited(array, edit, seed):
+    rows = _edited_rows(array, edit, seed)
+    return OrthogonalArray(array.strength, array.columns, array.alphabet, rows)
 
 
 def _outcome(verify, array, t):
@@ -345,7 +400,7 @@ REFERENCE_ARRAYS = (
     + [(f"extended-{q}", oa_extended, (q,)) for q in ORDERS]
     + [(f"sum-{t}-{k}", oa_sum, (t, k)) for t, k in [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]]
 )
-EDITS = ["none", "delete", "duplicate", "change", "-1", "k", "1.5", "True", "empty"]
+EDITS = ["none", "delete", "duplicate", "change", "True", "empty"]
 
 
 @pytest.mark.parametrize("edit", EDITS)
@@ -356,6 +411,20 @@ def test_verify_oa_matches_the_tuple_count_reference(build, args, edit):
         array = _edited(base, edit, seed)
         for t in (1, 2, 3):
             assert _outcome(verify_oa, array, t) == _outcome(_reference_verify_oa, array, t)
+
+
+@pytest.mark.parametrize("edit", ["-1", "k", "1.5"])
+@pytest.mark.parametrize("build, args", [a[1:] for a in REFERENCE_ARRAYS], ids=[a[0] for a in REFERENCE_ARRAYS])
+def test_orthogonal_array_refuses_an_edit_outside_its_alphabet(build, args, edit):
+    base = build(*args)
+    k = base.alphabet
+    for seed in range(2):
+        rows = _edited_rows(base, edit, seed)
+        inside = [all(type(s) is int and 0 <= s < k for s in row) for row in rows]
+        named = rows[inside.index(False)]
+        with pytest.raises(ValueError) as info:
+            OrthogonalArray(base.strength, base.columns, k, rows)
+        assert str(info.value) == f"row {named} has symbols outside 0..{k - 1}"
 
 
 @pytest.mark.parametrize("build, args", [a[1:] for a in REFERENCE_ARRAYS], ids=[a[0] for a in REFERENCE_ARRAYS])
