@@ -22,6 +22,7 @@ from .core import (
     MixedDesign,
     Resolution,
     _type_word_count,
+    _valid_codewords,
 )
 from .errors import (
     ConstructionFailed,
@@ -702,16 +703,18 @@ def largeset_to_gdd(ls: LargeSet) -> MixedDesign:
     if len(ls.copies) != h:
         raise CopyCountMismatch(f"{len(ls.copies)} copies, want g(n-t) = {h}")
     alphabet = MixedAlphabet(ls.alphabet.sizes + (h + 1,))
-    blocks = [
-        Codeword(b.support + ((n, j),))
+    # the copies' blocks fit coordinates 0..n-1, so (n, j >= 1) appended
+    # last keeps each support valid and sorted
+    blocks = _valid_codewords([
+        b.support + ((n, j),)
         for j, copy in enumerate(ls.copies, start=1)
         for b in copy
-    ]
+    ])
     design = MixedDesign(
         alphabet,
         ls.t + 1,
         ls.k + 1,
-        tuple(blocks),
+        blocks,
         meta=f"large set folded at hole coordinate {n}",
     )
     try:
@@ -751,7 +754,19 @@ def gdd_to_largeset(design: MixedDesign, hole_coordinate: int | None = None) -> 
     h = design.alphabet.sizes[hole] - 1
     if h != g * (n - t):
         raise TypeMismatch(f"hole has {h} points, want g(n-t) = {g * (n - t)}")
-    holes = [b.symbol(hole) for b in design.blocks]
+    # dropping the hole pair and shifting later coordinates down by one is
+    # monotone, so each derived support stays valid and sorted
+    supports = [b.support for b in design.blocks]
+    if hole == n:
+        # the hole is the last coordinate, so a block meets it in its last pair
+        holes = [s if c == hole else 0 for c, s in (b[-1] for b in supports)]
+        supports = [b[:-1] for b in supports]
+    else:
+        holes = [b.symbol(hole) for b in design.blocks]
+        supports = [
+            tuple((c if c < hole else c - 1, s) for c, s in b if c != hole)
+            for b in supports
+        ]
     if 0 in holes:
         b = design.blocks[holes.index(0)]
         raise TypeMismatch(f"block {b.support} does not meet the hole coordinate {hole}")
@@ -763,11 +778,8 @@ def gdd_to_largeset(design: MixedDesign, hole_coordinate: int | None = None) -> 
             report=rep,
         )
     copies: list[list[Codeword]] = [[] for _ in range(h)]
-    for b, j in zip(design.blocks, holes):
-        support = tuple(
-            (c if c < hole else c - 1, s) for c, s in b.support if c != hole
-        )
-        copies[j - 1].append(Codeword(support))
+    for b, j in zip(_valid_codewords(supports), holes):
+        copies[j - 1].append(b)
     return LargeSet(
         MixedAlphabet(tuple(group_sizes)), t, design.k - 1,
         tuple(tuple(c) for c in copies),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, filterfalse, product
+from itertools import combinations, filterfalse, product, repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -28,9 +28,13 @@ class Codeword:
     support: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        """The one check of a support's entries: 2-item lists or tuples of
-        int (not bool), distinct coordinates >= 0 and symbols >= 1, kept
-        sorted whatever order a caller passes them in."""
+        """The check of a support's entries on every direct call: 2-item
+        lists or tuples of int (not bool), distinct coordinates >= 0 and
+        symbols >= 1, kept sorted whatever order a caller passes them in.
+        Only supports already known to pass it skip it, through
+        _valid_codewords: block lists the readers accept in whole-list
+        passes, and the blocks the large-set fold and slice derive from
+        checked blocks."""
         pairs = []
         for p in self.support:
             if not (isinstance(p, (tuple, list)) and len(p) == 2
@@ -62,6 +66,16 @@ class Codeword:
             if c == coordinate:
                 return s
         return 0
+
+
+def _valid_codewords(supports: list) -> tuple[Codeword, ...]:
+    """Codewords of supports that already pass Codeword's check as they
+    stand: tuples of sorted (c, s) int pairs with distinct coordinates
+    >= 0 and symbols >= 1.  __post_init__ is not run, so a caller uses this
+    only where its own checks or the blocks it derives from establish that."""
+    words = list(map(object.__new__, repeat(Codeword, len(supports))))
+    list(map(object.__setattr__, words, repeat("support"), supports))
+    return tuple(words)
 
 
 @dataclass(frozen=True, slots=True)

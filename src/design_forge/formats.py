@@ -11,9 +11,18 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from operator import lt
 
 from .constructions import PartitionedCover
-from .core import Codeword, LargeSet, MixedAlphabet, MixedDesign, Resolution
+from .core import (
+    Codeword,
+    LargeSet,
+    MixedAlphabet,
+    MixedDesign,
+    Resolution,
+    _valid_codewords,
+)
 from .errors import AlphabetMismatch, FormatError
 from .oa import OrthogonalArray
 from .verify import VerificationReport
@@ -35,6 +44,9 @@ def _load(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        # the decoder's text names the interpreter's limit and varies by version
+        raise FormatError("JSON nested too deeply to read") from None
     _require(isinstance(data, dict), "top level must be a JSON object")
     return data
 
@@ -51,6 +63,42 @@ def _block_from_list(item) -> Codeword:
         return Codeword(item)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _blocks_from_lists(items: list, k: int) -> tuple[Codeword, ...]:
+    """A block list read from JSON.  A canonical list is accepted in
+    whole-list passes (_canonical_supports); any other list is read block by
+    block through _block_from_list, so its errors and their order are the
+    per-block loop's."""
+    supports = _canonical_supports(items, k)
+    if supports is None:
+        return tuple(map(_block_from_list, items))
+    return _valid_codewords(supports)
+
+
+def _canonical_supports(items: list, k: int) -> list | None:
+    """The supports of a block list in the writer's canonical form, or None:
+    every block a list of k [coordinate, symbol] lists of int, coordinates
+    >= 0 and strictly increasing within each block, symbols >= 1.  Those are
+    the lists that Codeword would return unchanged.  A block's length is
+    compared with k before anything of size k is made, so no work follows
+    a header's k alone."""
+    if not items:
+        return []
+    if not (k >= 1 and set(map(type, items)) == {list} and set(map(len, items)) == {k}):
+        return None
+    entries = list(chain.from_iterable(items))
+    if not (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}):
+        return None
+    values = list(chain.from_iterable(entries))
+    coords = values[0::2]
+    if not (
+        set(map(type, values)) == {int} and min(coords) >= 0 and min(values[1::2]) >= 1
+        and all(all(map(lt, coords[j::k], coords[j + 1::k])) for j in range(k - 1))
+    ):
+        return None
+    pairs = iter(list(map(tuple, entries)))
+    return list(zip(*[pairs] * k))
 
 
 def _alphabet_from(data) -> MixedAlphabet:
@@ -90,7 +138,7 @@ def design_from_json(text: str) -> tuple[MixedDesign, Resolution | None]:
     _require(_is_int(data["t"]) and _is_int(data["k"]), "t and k must be ints")
     _require(isinstance(data["blocks"], list), "blocks must be a list")
     alphabet = _alphabet_from(data["alphabet"])
-    blocks = tuple(_block_from_list(b) for b in data["blocks"])
+    blocks = _blocks_from_lists(data["blocks"], data["k"])
     meta = data.get("meta", "")
     _require(isinstance(meta, str), "meta must be a string")
     try:
@@ -134,7 +182,7 @@ def largeset_from_json(text: str) -> LargeSet:
     copies = []
     for copy in data["copies"]:
         _require(isinstance(copy, list), "each copy must be a list of blocks")
-        copies.append(tuple(_block_from_list(b) for b in copy))
+        copies.append(_blocks_from_lists(copy, data["k"]))
     try:
         return LargeSet(alphabet, data["t"], data["k"], tuple(copies), lam=lam)
     except (ValueError, AlphabetMismatch) as exc:

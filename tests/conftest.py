@@ -137,6 +137,15 @@ def build_toy_large_set() -> LargeSet:
     )
 
 
+def build_sum_large_set(g: int, t: int) -> LargeSet:
+    """LH(t+1, g, t+1, t): copy j holds the transversal words over
+    Z_{g+1}^{t+1} whose symbol sum is j mod g."""
+    copies: list[list[Codeword]] = [[] for _ in range(g)]
+    for syms in product(range(1, g + 1), repeat=t + 1):
+        copies[sum(syms) % g].append(Codeword(tuple(enumerate(syms))))
+    return LargeSet(MixedAlphabet((g + 1,) * (t + 1)), t, t + 1, copies)
+
+
 @pytest.fixture
 def toy_large_set() -> LargeSet:
     return build_toy_large_set()

@@ -9,12 +9,11 @@ import os
 import resource
 import subprocess
 import sys
-from itertools import product
 
 import pytest
 
-from design_forge import Codeword, LargeSet, MixedAlphabet, cli, largeset_to_json
-from tests.conftest import build_toy_large_set
+from design_forge import LargeSet, cli, largeset_to_json
+from tests.conftest import build_sum_large_set, build_toy_large_set
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -267,6 +266,37 @@ def test_verify_oa_hostile_headers_fail_fast_within_1_gb(tmp_path, header, code,
 
 
 @pytest.mark.parametrize(
+    "claim, text, code, out, err",
+    [
+        # nesting deeper than the decoder's recursion limit is bad input
+        pytest.param("gdd", "[" * 200000, 2, "", "error: JSON nested too deeply to read\n",
+                     id="gdd nested 200000 deep"),
+        pytest.param("largeset", '{"copies":' * 200000, 2, "", "error: JSON nested too deeply to read\n",
+                     id="largeset nested 200000 deep"),
+        # no block list is read in passes over a header's k
+        pytest.param("gdd", '{"alphabet":[2],"t":1,"k":1000000000000,"blocks":[]}', 1,
+                     '{"claim":"gdd","counterexample":{"count":0,"detail":"word ((0, 1),) covered 0 times, '
+                     'want exactly 1","kind":"coverage","word":[[0,1]]},"ok":false,"stats":{"blocks":0,'
+                     '"gdd_type":"1^1","k":1000000000000,"t":1,"words":1}}\n', "",
+                     id="gdd k=10^12 no blocks"),
+        pytest.param("largeset", '{"alphabet":[2],"t":1,"k":1000000000000,"copies":[[],[]]}', 2, "",
+                     "error: need k <= n, got k=1000000000000 n=1\n", id="largeset k=10^12 empty copies"),
+    ],
+)
+def test_verify_hostile_json_fails_fast_within_1_gb(tmp_path, claim, text, code, out, err):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "design_forge.cli", "verify", "--claim", claim, str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_memory_to_1_gb,
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, err)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["construct", "--family", "hybrid", "--k", "25", "--i", "0"],
@@ -435,20 +465,11 @@ def test_verify_largeset_refuses_k_above_n(tmp_path):
     assert result.stdout == ""
 
 
-def _sum_large_set(g: int, t: int) -> LargeSet:
-    """LH(t+1, g, t+1, t): copy j holds the transversal words over
-    Z_{g+1}^{t+1} whose symbol sum is j mod g."""
-    copies: list[list[Codeword]] = [[] for _ in range(g)]
-    for syms in product(range(1, g + 1), repeat=t + 1):
-        copies[sum(syms) % g].append(Codeword(tuple(enumerate(syms))))
-    return LargeSet(MixedAlphabet((g + 1,) * (t + 1)), t, t + 1, copies)
-
-
 @pytest.mark.parametrize("t", [0, 5])
 @pytest.mark.parametrize("deleted", [False, True])
 def test_verify_largeset_refuses_t_before_counting(tmp_path, t, deleted):
     # a deleted block fails the multiplicity count, which must not run first
-    ls = _sum_large_set(10, 3)  # LH(4,10,4,3)
+    ls = build_sum_large_set(10, 3)  # LH(4,10,4,3)
     if deleted:
         ls = LargeSet(ls.alphabet, ls.t, ls.k, (ls.copies[0][1:],) + ls.copies[1:])
     path = tmp_path / "ls.json"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from design_forge import (
+    AlphabetMismatch,
     Codeword,
     FormatError,
     LargeSet,
@@ -154,6 +155,8 @@ _ENTRY = "block entry must be a [coordinate, symbol] pair, got "
     [
         (design_from_json, "not json", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         (design_from_json, "[1,2]", "top level must be a JSON object"),
+        (design_from_json, "[" * 200000, "JSON nested too deeply to read"),
+        (largeset_from_json, '{"copies":' * 200000, "JSON nested too deeply to read"),
         (design_from_json, '{"alphabet":[2,2],"t":1,"k":2}', "missing key 'blocks'"),
         (design_from_json, '{"alphabet":[2,2],"t":"1","k":2,"blocks":[]}', "t and k must be ints"),
         (design_from_json, '{"alphabet":[2,2],"t":true,"k":2,"blocks":[]}', "t and k must be ints"),
@@ -179,6 +182,9 @@ _ENTRY = "block entry must be a [coordinate, symbol] pair, got "
         (design_from_json, _D % "[[]]", "block () has weight 0, not 2"),
         (design_from_json, _D % "[[[0,1],[1,1],[2,1]]]", "block ((0, 1), (1, 1), (2, 1)) has weight 3, not 2"),
         (design_from_json, _D % "[[[0,1],[3,1]]]", "coordinate 3 out of range for 3 coordinates"),
+        # a block of another length than k is read on its own, with no pass over k
+        (design_from_json, '{"alphabet":[2],"t":1,"k":1000000000000,"blocks":[[[0,1]]]}',
+         "block ((0, 1),) has weight 1, not 1000000000000"),
         (design_from_json, _D % "[[[0,1],[1,5]]]", "symbol 5 out of range at coordinate 1 (size 2)"),
         # several faults: the first in the order the texts above are checked,
         # and within a support the first in sorted order
@@ -205,6 +211,8 @@ _ENTRY = "block entry must be a [coordinate, symbol] pair, got "
         (largeset_from_json, _L % "[[0,1]]", "block ((0, 1),) has weight 1, not 2"),
         (largeset_from_json, _L % "[[0,1],[1,4]]", "symbol 4 out of range at coordinate 1 (size 3)"),
         (largeset_from_json, _L % "[[0,1],[5,1]]", "coordinate 5 out of range for 2 coordinates"),
+        (largeset_from_json, '{"alphabet":[2],"t":1,"k":1000000000000,"copies":[[],[[[0,1]]]]}',
+         "need k <= n, got k=1000000000000 n=1"),
         (cover_from_json, '{"n":4,"t":2,"k":3,"R":[]}', "missing key 'classes'"),
         (cover_from_json, '{"n":4,"t":2,"k":true,"R":[],"classes":[]}', "n, t, k must be ints"),
         (cover_from_json, _C % "{}", "R must be a list"),
@@ -349,6 +357,161 @@ def test_every_roster_design_reads_back_unchanged():
             design.alphabet, design.t, design.k, design.meta
         )
         assert parsed.blocks == tuple(sorted(design.blocks))
+
+
+def _reference_blocks(items) -> tuple[Codeword, ...]:
+    """The block list as it was read before canonical lists were accepted in
+    whole-list passes: every block goes through Codeword on its own."""
+    blocks = []
+    for item in items:
+        if not isinstance(item, list):
+            raise FormatError(f"block must be a list, got {type(item).__name__}")
+        try:
+            blocks.append(Codeword(item))
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+    return tuple(blocks)
+
+
+def _reference_design_from_json(text: str) -> tuple[MixedDesign, None]:
+    """design_from_json with a per-block block list, for files whose header
+    (alphabet, t, k) is valid and that carry no classes."""
+    data = json.loads(text)
+    blocks = _reference_blocks(data["blocks"])
+    try:
+        design = MixedDesign(
+            MixedAlphabet(tuple(data["alphabet"])), data["t"], data["k"], blocks,
+            meta=data.get("meta", ""),
+        )
+    except (ValueError, AlphabetMismatch) as exc:
+        raise FormatError(str(exc)) from exc
+    return design, None
+
+
+def _reference_largeset_from_json(text: str) -> LargeSet:
+    """largeset_from_json with a per-block reader of each copy, for files
+    whose header is valid."""
+    data = json.loads(text)
+    copies = tuple(_reference_blocks(copy) for copy in data["copies"])
+    try:
+        return LargeSet(
+            MixedAlphabet(tuple(data["alphabet"])), data["t"], data["k"], copies,
+            lam=data.get("lambda", 1),
+        )
+    except (ValueError, AlphabetMismatch) as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _read_blocks(read, text):
+    """What a reader makes of a file, or the error it raised.  Equal blocks
+    hold tuples of int tuples on both sides, since a list never equals a
+    tuple."""
+    try:
+        result = read(text)
+    except FormatError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):  # design_from_json's (design, resolution)
+        return result, result[0].meta
+    return result
+
+
+_BLOCK_LISTS = [
+    "[]",  # no blocks
+    "[[[1,1],[0,1]],[[2,1],[0,1]]]",  # unsorted supports
+    "[[[0,1],[1,1]],[[2,1],[0,1]]]",  # one unsorted support after a sorted one
+    "[[[0,1],[1,1]],[[1,1],[1,1]]]",  # a repeated coordinate
+    "[[[0,1],[1,1]],[[1,1],[1,2]]]",
+    "[[[0,1],[1,1]],[[0,1],[2,true]]]",  # a bool, float or str in block 2
+    "[[[0,1],[1,1]],[[true,1],[2,1]]]",
+    "[[[0,1],[1,1]],[[0,1],[2,1.0]]]",
+    "[[[0,1],[1,1]],[[0.0,1],[2,1]]]",
+    '[[[0,1],[1,1]],[[0,1],[2,"1"]]]',
+    '[[[0,1],[1,1]],[[0,1],"2"]]',
+    '[[[0,1],[1,1]],"ab"]',
+    "[[[0,1],[1,1]],[[0,1],[1,1],[2,1]]]",  # a wrong weight in a later block
+    "[[[0,1],[1,1]],[[0,1]]]",
+    "[[[0,1],[1,1]],[]]",
+    "[[[0,1],[1,1.5]],7]",  # a non-list block after a bad entry
+    "[[[0,1],[1,1]],7]",
+    "[[[0,1],[1,1]],{}]",
+    "[[[0,1],[1,1]],[[0,1],[1]]]",
+    "[[[0,1],[1,1]],[[0,1],[1,1,1]]]",
+    "[[[0,1],[1,1]],[[0,1],[[1],1]]]",
+    "[[[0,1],[1,1]],[[0,1],{}]]",
+    "[[[0,1],[1,1]],[[-1,1],[2,1]]]",  # a negative coordinate
+    "[[[0,1],[1,1]],[[0,0],[2,1]]]",  # a zero symbol
+    "[[[0,1],[1,1]],[[0,1],[3,1]]]",  # outside the alphabet
+    "[[[0,1],[1,1]],[[0,1],[2,100000000000000000000]]]",
+    "[[[0,1],[2,1]],[[1,1],[2,1]]]",  # canonical
+    "[[[0,1]],[[2,1]]]",  # canonical at k = 1
+    "[[[1,1]],[[0,1]],[[1,1]]]",
+    "[[[0,1]],[[2,true]]]",
+    "[[[0,1]],[[-2,1]]]",
+]
+
+
+@pytest.mark.parametrize("blocks", _BLOCK_LISTS)
+def test_design_reader_matches_the_per_block_reference(blocks):
+    for k in (1, 2):
+        text = '{"alphabet":[2,2,2],"t":1,"k":%d,"blocks":%s}' % (k, blocks)
+        assert _read_blocks(design_from_json, text) == _read_blocks(_reference_design_from_json, text)
+
+
+@pytest.mark.parametrize("blocks", _BLOCK_LISTS)
+def test_largeset_reader_matches_the_per_block_reference(blocks):
+    for copies in ("[%s]", "[[[[0,1],[1,1]]],%s]", "[%s,[[[0,1],[1,1]],[7]]]"):
+        text = '{"alphabet":[2,2,2],"t":1,"k":2,"copies":%s}' % (copies % blocks)
+        assert _read_blocks(largeset_from_json, text) == _read_blocks(_reference_largeset_from_json, text)
+
+
+def test_every_canonical_file_reads_as_the_per_block_reference():
+    for design in verified_roster():
+        text = design_to_json(design)
+        assert _read_blocks(design_from_json, text) == _read_blocks(_reference_design_from_json, text)
+    text = largeset_to_json(build_toy_large_set())
+    assert _read_blocks(largeset_from_json, text) == _read_blocks(_reference_largeset_from_json, text)
+
+
+_ODD_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=3),
+)
+
+
+@st.composite
+def _mutated_files(draw):
+    """A canonical design or large-set file with one block, entry, coordinate
+    or symbol replaced by another JSON value."""
+    if draw(st.booleans()):
+        design = draw(st.sampled_from(verified_roster()))
+        data = json.loads(design_to_json(design))
+        blocks, read, reference = data["blocks"], design_from_json, _reference_design_from_json
+    else:
+        data = json.loads(largeset_to_json(build_toy_large_set()))
+        blocks = data["copies"][draw(st.integers(0, 1))]
+        read, reference = largeset_from_json, _reference_largeset_from_json
+    b = draw(st.integers(0, len(blocks) - 1))
+    e = draw(st.integers(0, len(blocks[b]) - 1))
+    where = draw(st.sampled_from(["block", "entry", "coordinate", "symbol"]))
+    value = draw(_ODD_VALUES)
+    if where == "block":
+        blocks[b] = value
+    elif where == "entry":
+        blocks[b][e] = value
+    else:
+        blocks[b][e][where == "symbol"] = value
+    return read, reference, json.dumps(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_files())
+def test_a_mutated_canonical_file_reads_as_the_per_block_reference(case):
+    read, reference, text = case
+    assert _read_blocks(read, text) == _read_blocks(reference, text)
 
 
 def test_cover_roundtrip():

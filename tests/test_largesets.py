@@ -13,15 +13,17 @@ from design_forge import (
     MixedDesign,
     TypeMismatch,
     covers,
+    design_to_json,
     gdd_catalog,
     gdd_to_largeset,
     gdd_type_of,
     largeset_to_gdd,
+    largeset_to_json,
     ms_bound_check,
     verify_gdd,
     verify_large_set,
 )
-from tests.conftest import build_toy_large_set
+from tests.conftest import build_sum_large_set, build_toy_large_set
 
 
 def test_fold_toy_large_set(toy_large_set):
@@ -132,8 +134,9 @@ def test_slice_rejects_wrong_hole_size(toy_large_set):
     # hole must have g(n - t) = 2 points; claim a bigger hole alphabet
     widened = MixedAlphabet((3, 3, 3, 4))
     redesign = MixedDesign(widened, design.t, design.k, design.blocks)
-    with pytest.raises(TypeMismatch):
+    with pytest.raises(TypeMismatch) as err:
         gdd_to_largeset(redesign)
+    assert str(err.value) == "hole has 3 points, want g(n-t) = 2"
 
 
 def test_slice_at_group_coordinate_of_symmetric_design(toy_large_set):
@@ -145,15 +148,19 @@ def test_slice_at_group_coordinate_of_symmetric_design(toy_large_set):
     assert verify_large_set(sliced).ok
 
 
-def test_slice_rejects_block_missing_the_hole():
+@pytest.mark.parametrize("hole", [0, 2, 4, None])
+def test_slice_rejects_block_missing_the_hole(hole):
     # Five coordinates, blocks of weight 4: a block can genuinely miss the
     # hole coordinate, and the transform must reject it before verifying.
-    alphabet = MixedAlphabet((3, 3, 3, 3, 3))
-    block = Codeword(((0, 1), (1, 1), (2, 1), (3, 1)))  # never touches 4
-    design = MixedDesign(alphabet, 3, 4, (block,))
+    # n = 4 groups of g = 2 at t = 2 need a hole of g(n - t) = 4 points.
+    at = 4 if hole is None else hole
+    sizes = [3] * 5
+    sizes[at] = 5
+    block = Codeword(tuple((c, 1) for c in range(5) if c != at))
+    design = MixedDesign(MixedAlphabet(tuple(sizes)), 3, 4, (block,))
     with pytest.raises(TypeMismatch) as err:
-        gdd_to_largeset(design, hole_coordinate=4)
-    assert "hole" in str(err.value)
+        gdd_to_largeset(design, hole_coordinate=hole)
+    assert str(err.value) == f"block {block.support} does not meet the hole coordinate {at}"
 
 
 def test_slice_rejects_corrupt_copies(toy_large_set):
@@ -174,6 +181,43 @@ def test_slice_rejects_corrupt_copies(toy_large_set):
     count = sum(covers(b, ce.word, broken.alphabet) for b in broken.blocks)
     assert count == ce.count != 1
     assert broken.report is None
+
+
+def _assert_checked_blocks(blocks):
+    # blocks the transforms derive without Codeword's check still pass it
+    for b in blocks:
+        assert b == Codeword(b.support)
+        assert type(b.support) is tuple and all(type(p) is tuple for p in b.support)
+        assert list(b.support) == sorted(b.support)
+
+
+def _move_hole(design: MixedDesign, hole: int) -> MixedDesign:
+    """The fold with its last (hole) coordinate moved to `hole` and the
+    group coordinates kept in order around it."""
+    n = design.alphabet.n - 1
+    where = [c if c < hole else c + 1 for c in range(n)] + [hole]
+    sizes = [0] * (n + 1)
+    for c, q in enumerate(design.alphabet.sizes):
+        sizes[where[c]] = q
+    blocks = tuple(
+        Codeword(tuple((where[c], s) for c, s in b.support)) for b in design.blocks
+    )
+    return MixedDesign(MixedAlphabet(tuple(sizes)), design.t, design.k, blocks)
+
+
+@pytest.mark.parametrize("ls", [build_toy_large_set(), build_sum_large_set(3, 2), build_sum_large_set(2, 3)])
+def test_fold_and_slice_blocks_are_checked_codewords(ls):
+    design = largeset_to_gdd(ls)
+    _assert_checked_blocks(design.blocks)
+    n = ls.alphabet.n
+    for hole in (0, n // 2, n, None):
+        moved = design if hole in (n, None) else _move_hole(design, hole)
+        back = gdd_to_largeset(moved, hole)
+        for copy in back.copies:
+            _assert_checked_blocks(copy)
+        # ls -> gdd -> ls and gdd -> ls -> gdd are byte-identical
+        assert largeset_to_json(back) == largeset_to_json(ls)
+        assert design_to_json(largeset_to_gdd(back)) == design_to_json(design)
 
 
 # ----------------------------------------------------------------- catalog
