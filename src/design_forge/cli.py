@@ -27,12 +27,13 @@ from collections import Counter
 from pathlib import Path
 
 from .constructions import (
+    CatalogRecord,
     PartitionedCover,
+    _catalog_records,
     base_system,
     combine_partition,
     construct_from_oa,
     construct_hybrid_ms,
-    gdd_catalog,
     gdd_to_largeset,
     largeset_to_gdd,
     ms1_construct,
@@ -53,6 +54,8 @@ from .formats import (
 )
 from .oa import oa_extended, oa_square, oa_sum, verify_oa
 from .verify import (
+    _within_ceiling,
+    _word_ceiling,
     ms_bound_check,
     verify_gdd,
     verify_large_set,
@@ -237,23 +240,31 @@ def cmd_oa(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    records = gdd_catalog(
-        range(2, args.g_max + 1),
-        range(1, args.h_max + 1),
-        range(1, args.ell_max + 1),
-    )
-    lines = []
-    for rec in records:
-        check = ms_bound_check(rec.t, rec.group_size, rec.hole_size, rec.group_count)
-        tail = (
-            "ms-counterpart: open"
-            if check.feasible
-            else f"ms-counterpart: blocked (needs >= {check.required} groups, "
-            f"have {rec.group_count})"
-        )
-        lines.append(f"{rec.describe()} | {tail}")
-    _write_report(args.output, "\n".join(lines) + "\n")
+    g_values = range(2, args.g_max + 1)
+    h_values = range(1, args.h_max + 1)
+    ell_values = range(1, args.ell_max + 1)
+    # the records gdd_catalog makes, counted before any is made; below the
+    # ceiling each line is written as its record is made
+    count = 5 * len(g_values) + 1 + len(h_values) * (2 + len(ell_values))
+    _within_ceiling(count, "catalog records", _word_ceiling(None))
+    lines = map(_catalog_line, _catalog_records(g_values, h_values, ell_values))
+    if args.output:
+        with open(args.output, "w") as out:
+            out.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
     return 0
+
+
+def _catalog_line(rec: CatalogRecord) -> str:
+    check = ms_bound_check(rec.t, rec.group_size, rec.hole_size, rec.group_count)
+    tail = (
+        "ms-counterpart: open"
+        if check.feasible
+        else f"ms-counterpart: blocked (needs >= {check.required} groups, "
+        f"have {rec.group_count})"
+    )
+    return f"{rec.describe()} | {tail}\n"
 
 
 @functools.cache

@@ -545,19 +545,20 @@ def _combine(cover: PartitionedCover, meta: str) -> MixedDesign:
 def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
     """The affine plane of order q as a resolvable S(2, q, q^2): lines
     y = m*x + c over GF(q) grouped by slope m, then the vertical class.
-    Point (x, y) flattens to x*q + y.  Its C(q^2, 2) point pairs are held
-    to the word ceiling before any field table is built; the output is
-    checked at distance 2(q - 2) + 1 together with its resolution."""
+    Point (x, y) flattens to x*q + y, so line (m, c) is {x*q + row[x]} for
+    oa_square(q)'s row (m, c).  Its C(q^2, 2) point pairs are held to the
+    word ceiling before the array is built; the output is checked at
+    distance 2(q - 2) + 1 together with its resolution."""
     _words_within_ceiling(((1, q * q),), 2)
-    f = field_create(q)
+    rows = oa_square(q).rows
     blocks: list[Codeword] = []
     classes = []
     for m in range(q):
         cls = []
         for c in range(q):
             cls.append(len(blocks))
-            pts = (x * q + f.add(f.mul(m, x), c) for x in range(q))
-            blocks.append(Codeword(tuple((p, 1) for p in pts)))
+            row = rows[m * q + c]
+            blocks.append(Codeword(tuple((x * q + row[x], 1) for x in range(q))))
         classes.append(tuple(cls))
     cls = []
     for c in range(q):
@@ -575,35 +576,25 @@ def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
     return _checked(design, 2 * (q - 2) + 1, resolution), resolution
 
 
-@dataclass(frozen=True)
-class ReplacePlan:
-    """Which parallel classes of the resolvable design get the orthogonal-
-    array replacement system instead of the base system (True = replace)."""
-
-    flags: tuple[bool, ...]
-
-    @classmethod
-    def first(cls, num_classes: int, i: int) -> "ReplacePlan":
-        if not 0 <= i <= num_classes:
-            raise ValueError(f"need 0 <= i <= {num_classes}, got {i}")
-        return cls(tuple(j < i for j in range(num_classes)))
-
-    @property
-    def replace_count(self) -> int:
-        return sum(self.flags)
+def _replaced_in_range(resolution: Resolution, i: int) -> None:
+    c = len(resolution.classes)
+    if not 0 <= i <= c:
+        raise ValueError(f"need 0 <= i <= {c}, got {i}")
 
 
-def expand_design(
-    design: MixedDesign, resolution: Resolution, plan: ReplacePlan
-) -> PartitionedCover:
-    """Blow up a resolvable S(2, k, n) T to a cover on Z_n x Z_{k-1}.
+def expand_design(design: MixedDesign, resolution: Resolution, i: int) -> PartitionedCover:
+    """Blow up a resolvable S(2, k, n) T to a cover on Z_n x Z_{k-1}, with
+    the first i classes of the resolution replaced (ValueError unless
+    0 <= i <= its class count).  A caller who wants other classes replaced
+    orders resolution.classes.
 
     Every block X of T carries a sub-design on X x Z_{k-1}: the base system
     of X contributes its k-1 cross-section blocks to R and its k-1 derived
     parallel classes (merged across each class of T), while a replaced X
     contributes the (k-1)^2 transversal blocks of an OA(2, k, k-1) to R.
     The n column blocks {x} x Z_{k-1} form one shared class, so the result
-    has r = n - (k-1)*i classes when i classes of T are replaced."""
+    has r = n - (k-1)*i classes."""
+    _replaced_in_range(resolution, i)
     k = design.k
     n = design.alphabet.n
     rep = verify_steiner(design, 2, k, n)
@@ -616,63 +607,55 @@ def expand_design(
         raise NotResolvable(
             f"{len(resolution.classes)} classes, expected {(n - 1) // (k - 1)}"
         )
-    if len(plan.flags) != len(resolution.classes):
-        raise ValueError(
-            f"plan covers {len(plan.flags)} classes, design has {len(resolution.classes)}"
-        )
     field_create(k)  # k must be a prime power for the base system
     w = k - 1
 
     def flat(x: int, j: int) -> int:
         return x * w + j
 
-    base = base_system(k) if not all(plan.flags) else None
-    replacement = oa_extended(w) if any(plan.flags) else None
+    base = base_system(k) if i < len(resolution.classes) else None
+    replacement = oa_extended(w).rows if i else ()
 
     r_blocks: list[tuple[int, ...]] = []
     classes: list[tuple[tuple[int, ...], ...]] = [
         tuple(tuple(flat(x, j) for j in range(w)) for x in range(n))
     ]
-    for flag, cls in zip(plan.flags, resolution.classes):
+    for cls in resolution.classes[:i]:
+        for bi in cls:
+            x_pts = [c for c, _ in design.blocks[bi].support]
+            for row in replacement:
+                r_blocks.append(tuple(sorted(flat(x_pts[c], row[c]) for c in range(k))))
+    for cls in resolution.classes[i:]:
         derived: list[list[tuple[int, ...]]] = [[] for _ in range(w)]
         for bi in cls:
             x_pts = [c for c, _ in design.blocks[bi].support]
-            if flag:
-                for row in replacement.rows:
-                    r_blocks.append(
-                        tuple(sorted(flat(x_pts[i], row[i]) for i in range(k)))
+            for b in base.r_blocks:
+                r_blocks.append(tuple(sorted(flat(x_pts[p // w], p % w) for p in b)))
+            for a in range(1, k):
+                for b in base.classes[a]:
+                    derived[a - 1].append(
+                        tuple(sorted(flat(x_pts[p // w], p % w) for p in b))
                     )
-            else:
-                for b in base.r_blocks:
-                    r_blocks.append(tuple(sorted(flat(x_pts[p // w], p % w) for p in b)))
-                for a in range(1, k):
-                    for b in base.classes[a]:
-                        derived[a - 1].append(
-                            tuple(sorted(flat(x_pts[p // w], p % w) for p in b))
-                        )
-        if not flag:
-            classes.extend(tuple(sub) for sub in derived)
+        classes.extend(tuple(sub) for sub in derived)
     return PartitionedCover(n * w, 2, k, tuple(r_blocks), tuple(classes))
 
 
-def construct_hybrid_ms(
-    design: MixedDesign, resolution: Resolution, plan: ReplacePlan | int
-) -> MixedDesign:
+def construct_hybrid_ms(design: MixedDesign, resolution: Resolution, i: int) -> MixedDesign:
     """MS(2, k, Z_2^{(k-1)n} x Z_{n+1-(k-1)i}) from a resolvable S(2, k, n)
-    with i of its parallel classes replaced; i = (n-1)/(k-1) replaces all of
-    them and yields a Steiner system S(2, k, (k-1)n + 1).  Before the
-    design is expanded, the output's C(N, 2) + N*r weight-2 words (N =
-    (k-1)n binary points, r the new coordinate's nonzero symbols) are held
-    to the word ceiling.  Counting settles the distance, so no block pair
-    is compared, and the output check counts those words in one byte each."""
-    if isinstance(plan, int):
-        plan = ReplacePlan.first(len(resolution.classes), plan)
+    with the first i of its parallel classes replaced (see expand_design);
+    i = (n-1)/(k-1) replaces all of them and yields a Steiner system
+    S(2, k, (k-1)n + 1).  After i's range check and before the design is
+    expanded, the output's C(N, 2) + N*r weight-2 words (N = (k-1)n binary
+    points, r the new coordinate's nonzero symbols) are held to the word
+    ceiling.  Counting settles the distance, so no block pair is compared,
+    and the output check counts those words in one byte each."""
+    _replaced_in_range(resolution, i)
     points = (design.k - 1) * design.alphabet.n
-    symbols = design.alphabet.n - (design.k - 1) * plan.replace_count
+    symbols = design.alphabet.n - (design.k - 1) * i
     _words_within_ceiling(((1, points), (symbols, 1)), 2)
     return _combine(
-        expand_design(design, resolution, plan),
-        f"hybrid k={design.k} n={design.alphabet.n} replaced={plan.replace_count}",
+        expand_design(design, resolution, i),
+        f"hybrid k={design.k} n={design.alphabet.n} replaced={i}",
     )
 
 
@@ -826,43 +809,39 @@ def gdd_catalog(g_values=range(2, 14), h_values=range(1, 5), ell_values=range(1,
     """Parameter records of GDDs of type g^n (g(n-t))^1 derived from the
     known large-set families LH(n, g, t+1, t).  Ranges feed the families that
     scale with a group size g, a factor h, or an exponent ell."""
-    records: list[CatalogRecord] = []
+    return list(_catalog_records(g_values, h_values, ell_values))
+
+
+def _catalog_records(g_values, h_values, ell_values):
+    """gdd_catalog's records, made one at a time: five for each g, then
+    LH(14,720,4,3), then 2 + len(ell_values) for each h."""
     for g in g_values:
         if g < 2:
             raise ValueError("g must be >= 2")
-        records.append(CatalogRecord(4, 5, g, 10, 7 * g, "exists", f"LH(10,{g},4,3)"))
+        yield CatalogRecord(4, 5, g, 10, 7 * g, "exists", f"LH(10,{g},4,3)")
         flag = "possible-exception" if g in _LS456_EXCEPTIONS else "exists"
-        records.append(CatalogRecord(5, 6, g, 11, 7 * g, flag, f"LH(11,{g},5,4)"))
-        records.append(CatalogRecord(6, 7, g, 12, 7 * g, flag, f"LH(12,{g},6,5)"))
-        records.append(
-            CatalogRecord(
-                4, 5, g, 7, 4 * g,
-                "exists" if g % 2 == 0 else "not-exists",
-                f"LH(7,{g},4,3) iff g even",
-            )
+        yield CatalogRecord(5, 6, g, 11, 7 * g, flag, f"LH(11,{g},5,4)")
+        yield CatalogRecord(6, 7, g, 12, 7 * g, flag, f"LH(12,{g},6,5)")
+        yield CatalogRecord(
+            4, 5, g, 7, 4 * g,
+            "exists" if g % 2 == 0 else "not-exists",
+            f"LH(7,{g},4,3) iff g even",
         )
-        records.append(
-            CatalogRecord(
-                4, 5, g, 6, 3 * g,
-                "exists" if g % 3 == 0 else "not-exists",
-                f"LH(6,{g},4,3) iff 3 | g",
-            )
+        yield CatalogRecord(
+            4, 5, g, 6, 3 * g,
+            "exists" if g % 3 == 0 else "not-exists",
+            f"LH(6,{g},4,3) iff 3 | g",
         )
-    records.append(CatalogRecord(4, 5, 720, 14, 11 * 720, "exists", "LH(14,720,4,3)"))
+    yield CatalogRecord(4, 5, 720, 14, 11 * 720, "exists", "LH(14,720,4,3)")
     for h in h_values:
         if h < 1:
             raise ValueError("h must be >= 1")
-        records.append(CatalogRecord(4, 5, 4 * h, 5, 8 * h, "exists", f"LH(5,{4 * h},4,3)"))
-        records.append(
-            CatalogRecord(4, 5, 9 * h, 20, 17 * 9 * h, "exists", f"LH(20,{9 * h},4,3)")
-        )
+        yield CatalogRecord(4, 5, 4 * h, 5, 8 * h, "exists", f"LH(5,{4 * h},4,3)")
+        yield CatalogRecord(4, 5, 9 * h, 20, 17 * 9 * h, "exists", f"LH(20,{9 * h},4,3)")
         for ell in ell_values:
             if ell < 1:
                 raise ValueError("ell must be >= 1")
             n = 5 * 2**ell
-            records.append(
-                CatalogRecord(
-                    4, 5, 9 * h, n, (n - 3) * 9 * h, "exists", f"LH({n},{9 * h},4,3)"
-                )
+            yield CatalogRecord(
+                4, 5, 9 * h, n, (n - 3) * 9 * h, "exists", f"LH({n},{9 * h},4,3)"
             )
-    return records

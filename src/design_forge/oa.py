@@ -48,10 +48,11 @@ class OrthogonalArray:
 
 def mols_complete(q: int) -> list[LatinSquare]:
     """The complete family of q-1 mutually orthogonal Latin squares
-    L_a(i, j) = a*i + j over GF(q), for a = 1..q-1."""
-    f = field_create(q)
+    L_a(i, j) = a*i + j over GF(q), for a = 1..q-1: entry (i, j) of L_a is
+    column i of oa_square(q)'s row (a, j), so its ceiling applies."""
+    rows = oa_square(q).rows
     return [
-        LatinSquare(q, tuple(tuple(f.add(f.mul(a, i), j) for j in range(q)) for i in range(q)))
+        LatinSquare(q, tuple(tuple(rows[a * q + j][i] for j in range(q)) for i in range(q)))
         for a in range(1, q)
     ]
 
@@ -73,11 +74,7 @@ def oa_extended(q: int) -> OrthogonalArray:
     extra last column.  Its q^2 x (q+1) entries are held to the word ceiling
     before the field is built."""
     _within_ceiling(q * q * (q + 1), "array entries", _word_ceiling(None))
-    f = field_create(q)
-    rows = tuple(
-        tuple(f.add(f.mul(a, x), b) for x in range(q)) + (a,)
-        for a in range(q) for b in range(q)
-    )
+    rows = tuple(row + (i // q,) for i, row in enumerate(oa_square(q).rows))
     return OrthogonalArray(2, q + 1, q, rows)
 
 

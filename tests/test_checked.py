@@ -30,6 +30,7 @@ from design_forge import (
     resolvable_affine,
 )
 from design_forge import cli, constructions, verify
+from design_forge import oa as oa_module
 from tests.conftest import brute_force_min_distance, build_toy_large_set
 
 
@@ -111,7 +112,7 @@ def test_construct_from_oa_refuses_a_changed_oa_row(monkeypatch, checked):
 
 
 def test_resolvable_affine_refuses_a_changed_field_table(monkeypatch, checked):
-    real = constructions.field_create
+    real = oa_module.field_create
 
     class Tampered:
         def __init__(self, field):
@@ -125,7 +126,7 @@ def test_resolvable_affine_refuses_a_changed_field_table(monkeypatch, checked):
             self.calls += 1
             return self.field.add(a, b + (self.calls == 28))
 
-    monkeypatch.setattr(constructions, "field_create", lambda q: Tampered(real(q)))
+    monkeypatch.setattr(oa_module, "field_create", lambda q: Tampered(real(q)))
     with pytest.raises(ConstructionFailed) as err:
         resolvable_affine(5)
     _recheck(checked[-1], err.value.report)
@@ -180,8 +181,8 @@ def test_construct_as_cover_refuses_a_tampered_cover(monkeypatch, tmp_path, caps
 def test_construct_hybrid_ms_refuses_a_tampered_cover(monkeypatch, checked):
     real = constructions.expand_design
 
-    def tampered(design, resolution, plan):
-        cover = real(design, resolution, plan)
+    def tampered(design, resolution, i):
+        cover = real(design, resolution, i)
         classes = list(cover.classes)
         last = list(classes[-1])
         last[0] = last[1]  # one class block repeated, another dropped
@@ -232,7 +233,7 @@ def test_resolvable_affine_fails_fast_on_the_word_ceiling(monkeypatch):
     def no_field(q):
         raise AssertionError("field_create ran before the ceiling check")
 
-    monkeypatch.setattr(constructions, "field_create", no_field)
+    monkeypatch.setattr(oa_module, "field_create", no_field)
     with pytest.raises(VerificationLimitExceeded, match="weight-2 words"):
         resolvable_affine(128)  # C(128^2, 2) > 10^8
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "10")

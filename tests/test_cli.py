@@ -4,6 +4,7 @@ collector and parser checks call cli.main in this process."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
 import resource
@@ -309,6 +310,9 @@ def test_verify_hostile_json_fails_fast_within_1_gb(tmp_path, claim, text, code,
          "10^99999 * 100000 array entries exceed the ceiling 100000000"),
         (["oa", "--kind", "sum", "--t", "10000000", "--k", "10"],
          "10^9999999 * 10000000 array entries exceed the ceiling 100000000"),
+        # 5 records per g, 1 sporadic, 2 + 3 per h
+        (["catalog", "--g-max", "100000000"],
+         "500000016 catalog records exceed the ceiling 100000000"),
     ],
 )
 def test_huge_requests_are_counted_from_their_parameters_within_1_gb(tmp_path, argv, message):
@@ -575,6 +579,31 @@ def test_catalog_lists_all_records_all_blocked():
     assert len(lines) == 81
     assert all("ms-counterpart: blocked" in line for line in lines)
     assert any("GDD(4,5,34) type 2^10 14^1 [exists]" in line for line in lines)
+
+
+# sha256 of the default catalog's 81 lines
+CATALOG_DIGEST = "96236d009978ef00cd77676b672abb1681385bc2280ee4a16c99ddb4c64f1ef2"
+
+
+def test_catalog_default_output_is_pinned(tmp_path):
+    out = tmp_path / "catalog.txt"
+    printed = run_cli("catalog")
+    written = run_cli("catalog", "-o", str(out))
+    assert printed.returncode == written.returncode == 0
+    for text in (printed.stdout, out.read_text()):
+        assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_DIGEST
+
+
+@pytest.mark.parametrize("ceiling, code", [("80", 2), ("81", 0)])
+def test_catalog_records_are_held_to_the_ceiling(ceiling, code):
+    result = run_cli("catalog", env=dict(os.environ, DESIGN_FORGE_MAX_WORDS=ceiling))
+    assert result.returncode == code
+    if code:
+        assert (result.stdout, result.stderr) == (
+            "", "error: 81 catalog records exceed the ceiling 80\n"
+        )
+    else:
+        assert len(result.stdout.splitlines()) == 81
 
 
 def test_catalog_range_flags():

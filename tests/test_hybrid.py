@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from design_forge import (
     Codeword,
     MixedDesign,
     NotResolvable,
-    ReplacePlan,
     Resolution,
     construct_hybrid_ms,
+    design_to_json,
     expand_design,
     gdd_type_of,
     resolvable_affine,
@@ -45,34 +47,28 @@ def test_resolvable_affine_2_frozen():
     ]
 
 
-def test_replace_plan():
-    plan = ReplacePlan.first(4, 2)
-    assert plan.flags == (True, True, False, False)
-    assert plan.replace_count == 2
-    with pytest.raises(ValueError):
-        ReplacePlan.first(4, 5)
-    with pytest.raises(ValueError):
-        ReplacePlan.first(4, -1)
+@pytest.mark.parametrize("build", [expand_design, construct_hybrid_ms])
+@pytest.mark.parametrize("i", [5, -1])
+def test_the_replaced_count_is_checked_first(monkeypatch, build, i):
+    design, resolution = resolvable_affine(3)
+    # a ceiling of 0 words refuses any hybrid, but the range is checked first
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "0")
+    with pytest.raises(ValueError, match=f"^need 0 <= i <= 4, got {i}$"):
+        build(design, resolution, i)
 
 
 def test_expand_design_counts_k3():
     design, resolution = resolvable_affine(3)
     # no replacement: every T-block contributes 2 root blocks and 2 derived
     # class fragments; 4 classes x 3 blocks -> 24 root blocks, 1 + 4*2 classes
-    cover0 = expand_design(design, resolution, ReplacePlan.first(4, 0))
+    cover0 = expand_design(design, resolution, 0)
     validate_cover(cover0)
     assert (len(cover0.r_blocks), len(cover0.classes)) == (24, 9)
     # full replacement: every T-block contributes the 4 transversal blocks
     # of the extended array -> 12 * 4 root blocks and only the column class
-    cover4 = expand_design(design, resolution, ReplacePlan.first(4, 4))
+    cover4 = expand_design(design, resolution, 4)
     validate_cover(cover4)
     assert (len(cover4.r_blocks), len(cover4.classes)) == (48, 1)
-
-
-def test_expand_design_rejects_plan_length_mismatch():
-    design, resolution = resolvable_affine(3)
-    with pytest.raises(ValueError):
-        expand_design(design, resolution, ReplacePlan((True,)))
 
 
 def test_expand_design_rejects_broken_steiner_input():
@@ -82,7 +78,7 @@ def test_expand_design_rejects_broken_steiner_input():
     # vertical class, so pair coverage breaks
     broken = MixedDesign(design.alphabet, 2, 3, tuple(blocks))
     with pytest.raises(NotResolvable):
-        expand_design(broken, resolution, ReplacePlan.first(4, 0))
+        expand_design(broken, resolution, 0)
 
 
 def test_expand_design_rejects_broken_resolution():
@@ -91,7 +87,7 @@ def test_expand_design_rejects_broken_resolution():
     c0[0], c1[0] = c1[0], c0[0]
     broken = Resolution((tuple(c0), tuple(c1)) + resolution.classes[2:])
     with pytest.raises(NotResolvable):
-        expand_design(design, broken, ReplacePlan.first(4, 0))
+        expand_design(design, broken, 0)
 
 
 def test_expand_design_rejects_wrong_class_count():
@@ -100,7 +96,7 @@ def test_expand_design_rejects_wrong_class_count():
         (resolution.classes[0] + resolution.classes[1],) + resolution.classes[2:]
     )
     with pytest.raises(NotResolvable):
-        expand_design(design, merged, ReplacePlan.first(3, 0))
+        expand_design(design, merged, 0)
 
 
 def test_hybrid_k3_family():
@@ -136,9 +132,10 @@ def test_hybrid_k4_full_replacement_is_steiner():
 
 
 def test_hybrid_accepts_explicit_plan():
+    # classes 1 and 3 are replaced by ordering them first
     design, resolution = resolvable_affine(3)
-    plan = ReplacePlan((False, True, False, True))
-    hybrid = construct_hybrid_ms(design, resolution, plan)
+    ordered = Resolution(tuple(resolution.classes[j] for j in (1, 3, 0, 2)))
+    hybrid = construct_hybrid_ms(design, ordered, 2)
     assert verify_mixed_steiner(hybrid).ok
     assert hybrid.alphabet.sizes[-1] == 6  # 9 - 2*2 + 1
 
@@ -147,3 +144,65 @@ def test_hybrid_type_structure():
     design, resolution = resolvable_affine(3)
     hybrid = construct_hybrid_ms(design, resolution, 1)
     assert str(gdd_type_of(hybrid)) == "1^18 7^1"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of design_to_json(*resolvable_affine(q)), classes included
+AFFINE_DIGESTS = {
+    2: "7e8679a0547d5beadb273df9605ead27deaf0331e43d18c3ab5129228e9ba704",
+    3: "b27c1194d3a9bbac8eea1cb037609dac6c03a05ca04e4e06fd29bdc1bb023ff2",
+    4: "30bc25ecf017123974ae28a23f6b22dd0cb1f508016cd9dbc9445aee726357bb",
+    5: "a8bea8d57a76944a62daefad5d45b157a958d8ca30a8c70d665940db6c2fbfc2",
+    7: "da2509e8a41a31d1a7fa50e01d77bc5c2333ce12321dbf778df2ecda3949e04b",
+    8: "0bcae1bb5c8cccff2fed87b584c6a34da6396e4fda185ac7f5c2b42e6b37920d",
+    9: "26c8e52342b96a77cd002c1754c2ef80d8db141fd509b1c568e6ff1e7ee1d7a5",
+}
+
+
+@pytest.mark.parametrize("q", sorted(AFFINE_DIGESTS))
+def test_resolvable_affine_output_is_pinned(q):
+    assert _sha256(design_to_json(*resolvable_affine(q))) == AFFINE_DIGESTS[q]
+
+
+# sha256 of the hybrid over AG(2, 4) with its first i classes replaced
+HYBRID_AG24_DIGESTS = [
+    "190f3778e9469661e81d10a0d137f3fbdcfc0011553e7c5bde3863b81bcd62d4",
+    "4b336b9813bdc9f2e698bcb1fa5a309b5ffc3a37c68fc29941a024c104513eac",
+    "9379461672738666d0ea292f5bbc01743b3fb2400bc800e27daa4cc15cfaf671",
+    "bf62b68e70c16b948890e6c115d791aa269e610a5a56aa260cb95510ff854893",
+    "4658ac62338ea0071c0196d828cfbbe196bbaf26803a3ec2841d495f29e1201f",
+    "30ef56b937b8fbb887363244828f8ff1d4176443de8442a8631ab362a48ab214",
+]
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_hybrid_ag24_output_is_pinned(i):
+    design, resolution = resolvable_affine(4)
+    hybrid = construct_hybrid_ms(design, resolution, i)
+    assert _sha256(design_to_json(hybrid)) == HYBRID_AG24_DIGESTS[i]
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        # the digests of replacing exactly the flagged classes, in their
+        # original order, of AG(2, 4)
+        (
+            (False, True, False, True, False),
+            "06d6e98485cc2012947f6f026d5190f07fdbd56c062f9cb2788b849bc97a3ae1",
+        ),
+        (
+            (True, False, False, False, True),
+            "d583ee5bd09034dabee3a1ee94342aa414f62bf46165113c2d22b065e6546402",
+        ),
+    ],
+)
+def test_hybrid_replaces_the_classes_ordered_first(flags, digest):
+    design, resolution = resolvable_affine(4)
+    pairs = list(zip(flags, resolution.classes))
+    ordered = [c for f, c in pairs if f] + [c for f, c in pairs if not f]
+    hybrid = construct_hybrid_ms(design, Resolution(tuple(ordered)), sum(flags))
+    assert _sha256(design_to_json(hybrid)) == digest

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -19,6 +20,7 @@ from design_forge import (
     oa_extended,
     oa_square,
     oa_sum,
+    oa_to_text,
     report_to_json,
     verify_oa,
 )
@@ -118,6 +120,9 @@ def _built(*args):
         (oa_square, (2048,), 2048**3),
         (oa_extended, (1024,), 1024**2 * 1025),
         (oa_sum, (12, 10), 10**11 * 12),
+        # the squares are read from oa_square(503), whose q^3 entries are
+        # refused before GF(503)'s tables are built
+        (mols_complete, (503,), 503**3),
     ],
 )
 def test_oa_refuses_before_building_anything(monkeypatch, build, args, entries):
@@ -153,6 +158,59 @@ def test_oa_sum_names_a_huge_count_as_a_power(monkeypatch, args, ceiling, messag
     with pytest.raises(VerificationLimitExceeded) as err:
         oa_sum(*args)
     assert str(err.value) == message
+
+
+# sha256 of oa_to_text(oa_square(q)), oa_to_text(oa_extended(q)) and
+# repr(mols_complete(q)): all three read the rows of oa_square
+AFFINE_ARRAY_DIGESTS = {
+    2: (
+        "48ac6523f8b3066463d707418505990d3d131c96fbdb31ce16e546c7f13ef1ad",
+        "abe68ead05fa07b72d58c1ef7b874f069f832702491a71e2d75e8964cab588c6",
+        "b094278d4b6938daf3bfddd84a6c0282849939e6d1ae470e92867f6e784899f2",
+    ),
+    3: (
+        "55ce737d9b35b098295660d35086e3f79c5dcfbb566c0dea39fbea3ebca01f0e",
+        "9ff5ba01ddfb73e40109742f06ffd2049aa2014056d6962801dbbdd0f2d93b73",
+        "50c261bd5066f6d40fe5c499471b1dd68dc92528c91bfba0ebe525805dcdb439",
+    ),
+    4: (
+        "f9034ceb385112c5508c7d0262021996ea0a60ff1bd0f85ef7daf90f07e74875",
+        "8fbddcdf440428dda4416bb8513c990c90d706393a0e27a28ebcab664c7c64e4",
+        "84e0e0b9a099ecf9871f3aa09ae6850c9d894867aa81b8b2a34005dcdbf0985e",
+    ),
+    5: (
+        "2ae344d9531ea03b7f2d7c00781accba7d05eda83b1568a72857349eab2b3029",
+        "d9659d44b5be9a25cdf66e9b67dd18ffcfb26883a5b9887c1924a00dbb654765",
+        "c07ff1ccd25b3938ba33f0973809163ed0a9745fea2a884295ccf65956afb04d",
+    ),
+    7: (
+        "14da0dbf755b7d889cda6d22d6e3ad588d5cd269c3dd62caac14059caac22e9e",
+        "834190e6635fe8347edf4d3635510d29c78e263fc7708b624e84cbb932c3d193",
+        "1550806c2411cd7511b8ae83d6f47a27fea7be16d5673a6a7dce497acb7ddab9",
+    ),
+    8: (
+        "bc91cf82174de3545a95f4a6746d3db82d92cabdea6d5567b11d1ddf0d5c991f",
+        "7c3df089eca7910c76683e4f4cdc8f75270011236bee50cc7790a5bc213cc349",
+        "aeff6dba512c34345a6f394707d8b41b24f9019027a3f68000d6e500acdb3d64",
+    ),
+    9: (
+        "ecc864e0089caf4c90356d3e38f8642f044f18d4dcddf60caf40258b8962adec",
+        "122ab9e095a107eafe44c80edd78660668cb6c0da748409cfaec0700ca71e1df",
+        "32a31d6b185254c9765a15f76cbd94fc86a6d55aebddf7465a786df4c1f57429",
+    ),
+    16: (
+        "4c85ce09acbd9ba3c18770627a5b68ff2a68f098dd6afdc429155a9079a2d70b",
+        "893eb5faf0623019ee518c0c20782d30193fdf013b9c917e2a9a03ecd3305951",
+        "8a760853aa386a0a7853e6c7e7e26f8163f2dcb2f8e57954891e8df5c1c7d1e7",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(AFFINE_ARRAY_DIGESTS))
+def test_affine_arrays_and_squares_are_pinned(q):
+    outputs = (oa_to_text(oa_square(q)), oa_to_text(oa_extended(q)), repr(mols_complete(q)))
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in outputs)
+    assert digests == AFFINE_ARRAY_DIGESTS[q]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
