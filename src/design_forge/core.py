@@ -359,6 +359,7 @@ def first_miscount(items: list, total: int, ordered, want: int = 1):
         if len(seen) == len(items):
             missing = next(filterfalse(seen.__contains__, ordered()), None)
             return None if missing is None else (missing, 0)
+        del seen  # freed before the Counter of the same items is built
     counts = Counter(items)
     if len(counts) == total and all(c == want for c in counts.values()):
         return None

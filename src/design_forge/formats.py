@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import chain
 from operator import lt
 
@@ -97,6 +98,7 @@ def _canonical_supports(items: list, k: int) -> list | None:
         and all(all(map(lt, coords[j::k], coords[j + 1::k])) for j in range(k - 1))
     ):
         return None
+    del values, coords
     pairs = iter(list(map(tuple, entries)))
     return list(zip(*[pairs] * k))
 
@@ -112,23 +114,61 @@ def _alphabet_from(data) -> MixedAlphabet:
         raise FormatError(str(exc)) from exc
 
 
+def _blocks_json(supports: list) -> tuple[str, list]:
+    """The canonical JSON text of a list of equal-weight supports and the
+    order that sorts them (order[new] = old, ties kept in list order).
+
+    The distinct (coordinate, symbol) entries that occur are numbered in
+    (c, s) order and each support is written as a string of one code point
+    per entry, so string order is support order and one string sort gives
+    the order.  The sorted strings are joined by a separator code point and
+    one str.translate writes every entry as "[c,s]," and the separator as
+    "],["; one replace drops the comma before each "]".  A list with more
+    distinct entries than code points is sorted as tuples and written entry
+    by entry."""
+    if not supports:
+        return "[]", []
+    entries = set(chain.from_iterable(supports))
+    if len(entries) > sys.maxunicode:
+        order = sorted(range(len(supports)), key=supports.__getitem__)
+        body = "],[".join("".join(map("[%d,%d],".__mod__, supports[i])) for i in order)
+    else:
+        entries = sorted(entries)
+        code = dict(zip(entries, map(chr, range(len(entries)))))
+        flat = "".join(map(code.__getitem__, chain.from_iterable(supports)))
+        k = len(supports[0])
+        ends = range(k, len(flat) + k, k)
+        keys = list(map(flat.__getitem__, map(slice, range(0, len(flat), k), ends)))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        texts = list(map("[%d,%d],".__mod__, entries))
+        texts.append("],[")
+        body = chr(len(entries)).join(map(keys.__getitem__, order)).translate(texts)
+    return ("[[" + body + "]]").replace(",]", "]"), order
+
+
+def _spliced(data: dict, key: str, text: str) -> str:
+    """_dump of data with `text` written as the value of `key`, which holds
+    None: the header's other values hold no strings before it in key order,
+    so its first '"key":null' is that value."""
+    return _dump(data).replace(f'"{key}":null', f'"{key}":{text}', 1)
+
+
 def design_to_json(design: MixedDesign, resolution: Resolution | None = None) -> str:
     """Canonical JSON for a design: blocks sorted by support, resolution
     class indices remapped to the sorted order."""
-    supports = [b.support for b in design.blocks]
-    order = sorted(range(len(supports)), key=supports.__getitem__)
-    position = {old: new for new, old in enumerate(order)}
+    blocks, order = _blocks_json([b.support for b in design.blocks])
     data = {
         "alphabet": list(design.alphabet.sizes),
         "t": design.t,
         "k": design.k,
-        "blocks": [supports[i] for i in order],
+        "blocks": None,
     }
     if design.meta:
         data["meta"] = design.meta
     if resolution is not None:
-        data["classes"] = [sorted(position[i] for i in cls) for cls in resolution.classes]
-    return _dump(data)
+        position = dict(zip(order, range(len(order))))
+        data["classes"] = [sorted(map(position.__getitem__, cls)) for cls in resolution.classes]
+    return _spliced(data, "blocks", blocks)
 
 
 def design_from_json(text: str) -> tuple[MixedDesign, Resolution | None]:
@@ -165,9 +205,10 @@ def largeset_to_json(ls: LargeSet) -> str:
         "t": ls.t,
         "k": ls.k,
         "lambda": ls.lam,
-        "copies": [sorted(b.support for b in copy) for copy in ls.copies],
+        "copies": None,
     }
-    return _dump(data)
+    copies = [_blocks_json([b.support for b in copy])[0] for copy in ls.copies]
+    return _spliced(data, "copies", "[" + ",".join(copies) + "]")
 
 
 def largeset_from_json(text: str) -> LargeSet:

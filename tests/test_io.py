@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from design_forge import (
     verify_oa,
     verify_resolution,
 )
-from tests.conftest import build_toy_large_set, verified_roster
+from tests.conftest import build_sum_large_set, build_toy_large_set, verified_roster
 
 
 def test_design_roundtrip_is_canonical():
@@ -304,6 +305,7 @@ def _designs_with_classes(draw):
 def test_design_json_roundtrip_is_byte_stable(case):
     design, resolution = case
     text = design_to_json(design, resolution)
+    assert text == _reference_design_json(design, resolution)
     parsed, parsed_resolution = design_from_json(text)
     assert (parsed_resolution is None) == (resolution is None)
     assert sorted(parsed.blocks) == sorted(design.blocks)
@@ -322,6 +324,7 @@ def _large_sets(draw):
 @given(_large_sets())
 def test_largeset_json_roundtrip_is_byte_stable(ls):
     text = largeset_to_json(ls)
+    assert text == _reference_largeset_json(ls)
     parsed = largeset_from_json(text)
     assert [sorted(c) for c in parsed.copies] == [sorted(c) for c in ls.copies]
     assert largeset_to_json(parsed) == text
@@ -357,6 +360,82 @@ def test_every_roster_design_reads_back_unchanged():
             design.alphabet, design.t, design.k, design.meta
         )
         assert parsed.blocks == tuple(sorted(design.blocks))
+
+
+def _reference_design_json(design: MixedDesign, resolution: Resolution | None = None) -> str:
+    """design_to_json as json.dumps writes the canonical layout: supports
+    sorted as tuples (stably), classes remapped to that order."""
+    supports = [b.support for b in design.blocks]
+    order = sorted(range(len(supports)), key=supports.__getitem__)
+    position = {old: new for new, old in enumerate(order)}
+    data = {
+        "alphabet": list(design.alphabet.sizes),
+        "t": design.t,
+        "k": design.k,
+        "blocks": [supports[i] for i in order],
+    }
+    if design.meta:
+        data["meta"] = design.meta
+    if resolution is not None:
+        data["classes"] = [sorted(position[i] for i in cls) for cls in resolution.classes]
+    return json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def _reference_largeset_json(ls: LargeSet) -> str:
+    data = {
+        "alphabet": list(ls.alphabet.sizes),
+        "t": ls.t,
+        "k": ls.k,
+        "lambda": ls.lam,
+        "copies": [sorted(b.support for b in copy) for copy in ls.copies],
+    }
+    return json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def _writer_cases():
+    """(design, resolution) pairs that the block writer must write as
+    json.dumps does."""
+    yield from ((design, None) for design in verified_roster())
+    yield from (resolvable_affine(q) for q in (2, 3, 4, 5, 7, 8, 9))
+    pair = MixedAlphabet((3, 4, 2))
+    yield MixedDesign(pair, 1, 2, ()), None
+    yield MixedDesign(pair, 1, 2, ()), Resolution(((),))
+    u, v = Codeword(((0, 2), (1, 3))), Codeword(((0, 1), (2, 1)))
+    yield MixedDesign(pair, 1, 2, (u, v, u, v, u)), Resolution(((4, 1), (0,), (2, 3), ()))
+    yield MixedDesign(pair, 1, 2, (v, u), meta="GDD(2,3) \u00e9\u2014\U0001d4e2 \"blocks\":null"), None
+
+
+def test_design_writer_matches_json_dumps():
+    for design, resolution in _writer_cases():
+        assert design_to_json(design, resolution) == _reference_design_json(design, resolution)
+
+
+def test_largeset_writer_matches_json_dumps():
+    toy = build_toy_large_set()
+    with_empty = LargeSet(toy.alphabet, 2, 3, (toy.copies[0], (), toy.copies[1]), lam=2)
+    for ls in (toy, with_empty, build_sum_large_set(4, 2), LargeSet(toy.alphabet, 1, 1, ())):
+        assert largeset_to_json(ls) == _reference_largeset_json(ls)
+
+
+def test_block_writer_takes_more_entries_than_code_points():
+    weight = 1_200_000  # above sys.maxunicode + 1 distinct entries
+    block = Codeword(tuple((c, 1 + c % 2) for c in range(weight)))
+    design = MixedDesign(MixedAlphabet((3,) * weight), 1, weight, (block,))
+    assert design_to_json(design) == _reference_design_json(design)
+
+
+def test_block_writer_numbers_only_the_entries_that_occur():
+    design = MixedDesign(
+        MixedAlphabet((100_000_000, 2)), 1, 2, (Codeword(((0, 99_999_999), (1, 1))),)
+    )
+    tracemalloc.start()
+    try:
+        text = design_to_json(design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == _reference_design_json(design)
+    assert peak < 100_000
 
 
 def _reference_blocks(items) -> tuple[Codeword, ...]:
