@@ -32,9 +32,9 @@ class Codeword:
         lists or tuples of int (not bool), distinct coordinates >= 0 and
         symbols >= 1, kept sorted whatever order a caller passes them in.
         Only supports already known to pass it skip it, through
-        _valid_codewords: block lists the readers accept in whole-list
-        passes, and the blocks the large-set fold and slice derive from
-        checked blocks."""
+        _valid_codewords: compact block lists the readers read in
+        whole-text passes, and the blocks the large-set fold and slice
+        derive from checked blocks."""
         pairs = []
         for p in self.support:
             if not (isinstance(p, (tuple, list)) and len(p) == 2

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
-from itertools import chain
-from operator import lt
+from itertools import accumulate, chain
+from operator import itemgetter, lt, methodcaller
 
 from .constructions import PartitionedCover
 from .core import (
@@ -66,41 +67,90 @@ def _block_from_list(item) -> Codeword:
         raise FormatError(str(exc)) from exc
 
 
-def _blocks_from_lists(items: list, k: int) -> tuple[Codeword, ...]:
-    """A block list read from JSON.  A canonical list is accepted in
-    whole-list passes (_canonical_supports); any other list is read block by
-    block through _block_from_list, so its errors and their order are the
-    per-block loop's."""
-    supports = _canonical_supports(items, k)
-    if supports is None:
-        return tuple(map(_block_from_list, items))
-    return _valid_codewords(supports)
+def _load_blocks(text: str, key: str, depth: int) -> tuple[dict, list | None]:
+    """The file's JSON object and the copies of blocks in its list under
+    `key` (a design's block list is one copy at depth 3; a large set's
+    copies sit at depth 4), or None in their place.  A list in compact form,
+    as the writers write it, is read in whole-text passes (_compact_cut,
+    _compact_copies).  Any other file is parsed whole by _load, and its
+    blocks are left to the caller to read one at a time through
+    _block_from_list, so their errors and their order are the per-block
+    loop's."""
+    cut = _compact_cut(text, key, depth)
+    if cut is not None:
+        data, bodies = cut
+        copies = _compact_copies(bodies, data["k"])
+        if copies is not None:
+            return data, copies
+    return _load(text), None
 
 
-def _canonical_supports(items: list, k: int) -> list | None:
-    """The supports of a block list in the writer's canonical form, or None:
-    every block a list of k [coordinate, symbol] lists of int, coordinates
-    >= 0 and strictly increasing within each block, symbols >= 1.  Those are
-    the lists that Codeword would return unchanged.  A block's length is
-    compared with k before anything of size k is made, so no work follows
-    a header's k alone."""
-    if not items:
-        return []
-    if not (k >= 1 and set(map(type, items)) == {list} and set(map(len, items)) == {k}):
+def _compact_cut(text: str, key: str, depth: int) -> tuple[dict, list[str]] | None:
+    """The header of a file with null in place of its list under `key`, and
+    the texts of the list's copies inside their brackets, or None.  The list
+    is cut out of the text only when the text holds no backslash (so no key
+    is escaped and no string holds a quote), '"key"' occurs once and is
+    followed at once by ':' and `depth` brackets, the list ends at the first
+    `depth` closing brackets, and the header parses to an object that holds
+    that null under `key` and an int (not a bool) under "k".  Then the cut
+    is the value of the top-level key, so the header parses exactly when the
+    whole text does, once _compact_copies finds the cut a JSON list."""
+    name = f'"{key}"'
+    if "\\" in text or text.count(name) != 1:
         return None
-    entries = list(chain.from_iterable(items))
-    if not (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}):
+    start = text.find(name + ":" + "[" * depth)
+    if start < 0:
         return None
-    values = list(chain.from_iterable(entries))
-    coords = values[0::2]
-    if not (
-        set(map(type, values)) == {int} and min(coords) >= 0 and min(values[1::2]) >= 1
-        and all(all(map(lt, coords[j::k], coords[j + 1::k])) for j in range(k - 1))
-    ):
+    start += len(name) + 1
+    end = text.find("]" * depth, start)
+    if end < 0:
         return None
-    del values, coords
-    pairs = iter(list(map(tuple, entries)))
-    return list(zip(*[pairs] * k))
+    end += depth
+    try:
+        data = json.loads(text[:start] + "null" + text[end:])
+    except (ValueError, RecursionError):
+        return None
+    if not (isinstance(data, dict) and key in data and data[key] is None
+            and type(data.get("k")) is int):
+        return None
+    return data, text[start + depth:end - depth].split("]]],[[[")
+
+
+def _compact_copies(bodies: list[str], k: int) -> list[tuple[Codeword, ...]] | None:
+    """The blocks of each copy's text, or None unless every copy is a list of
+    blocks of exactly k entries "c,s", with c = 0 or a decimal of up to 18
+    digits without a leading zero and s such a decimal >= 1, and with
+    coordinates strictly increasing within each block.  Those are the
+    blocks that Codeword would return unchanged, and the texts that make the
+    cut a JSON list.  The texts are split once on the block and once on the
+    entry separator; each distinct entry text is checked and parsed once
+    into one (c, s) tuple, which every block holding it shares.  A block's
+    entry count is compared with k before anything of size k is made."""
+    copies = [body.split("]],[[") for body in bodies]
+    if set(map(methodcaller("count", "],["), chain.from_iterable(copies))) != {k - 1}:
+        return None
+    sizes = list(map(len, copies))
+    joined = "],[".join(chain.from_iterable(copies))
+    del copies  # the block strings go before the entry strings are made
+    texts = joined.split("],[")
+    del joined
+    entry = re.compile(r"(0|[1-9][0-9]{0,17}),([1-9][0-9]{0,17})").fullmatch
+    pairs = {}
+    for item in set(texts):
+        match = entry(item)
+        if match is None:
+            return None
+        pairs[item] = (int(match[1]), int(match[2]))
+    entries = list(map(pairs.__getitem__, texts))
+    del texts
+    coords = list(map(itemgetter(0), entries))
+    if not all(all(map(lt, coords[j::k], coords[j + 1::k])) for j in range(k - 1)):
+        return None
+    del coords
+    supports = list(zip(*[iter(entries)] * k))
+    del entries
+    ends = accumulate(sizes)
+    return [_valid_codewords(supports[end - size:end]) for size, end in zip(sizes, ends)]
 
 
 def _alphabet_from(data) -> MixedAlphabet:
@@ -172,13 +222,13 @@ def design_to_json(design: MixedDesign, resolution: Resolution | None = None) ->
 
 
 def design_from_json(text: str) -> tuple[MixedDesign, Resolution | None]:
-    data = _load(text)
+    data, copies = _load_blocks(text, "blocks", 3)
     for key in ("alphabet", "t", "k", "blocks"):
         _require(key in data, f"missing key {key!r}")
     _require(_is_int(data["t"]) and _is_int(data["k"]), "t and k must be ints")
-    _require(isinstance(data["blocks"], list), "blocks must be a list")
+    _require(copies is not None or isinstance(data["blocks"], list), "blocks must be a list")
     alphabet = _alphabet_from(data["alphabet"])
-    blocks = _blocks_from_lists(data["blocks"], data["k"])
+    blocks = copies[0] if copies is not None else tuple(map(_block_from_list, data["blocks"]))
     meta = data.get("meta", "")
     _require(isinstance(meta, str), "meta must be a string")
     try:
@@ -212,18 +262,19 @@ def largeset_to_json(ls: LargeSet) -> str:
 
 
 def largeset_from_json(text: str) -> LargeSet:
-    data = _load(text)
+    data, copies = _load_blocks(text, "copies", 4)
     for key in ("alphabet", "t", "k", "copies"):
         _require(key in data, f"missing key {key!r}")
     _require(_is_int(data["t"]) and _is_int(data["k"]), "t and k must be ints")
     lam = data.get("lambda", 1)
     _require(_is_int(lam) and lam >= 1, "lambda must be a positive int")
-    _require(isinstance(data["copies"], list), "copies must be a list")
+    _require(copies is not None or isinstance(data["copies"], list), "copies must be a list")
     alphabet = _alphabet_from(data["alphabet"])
-    copies = []
-    for copy in data["copies"]:
-        _require(isinstance(copy, list), "each copy must be a list of blocks")
-        copies.append(_blocks_from_lists(copy, data["k"]))
+    if copies is None:
+        copies = []
+        for copy in data["copies"]:
+            _require(isinstance(copy, list), "each copy must be a list of blocks")
+            copies.append(tuple(map(_block_from_list, copy)))
     try:
         return LargeSet(alphabet, data["t"], data["k"], tuple(copies), lam=lam)
     except (ValueError, AlphabetMismatch) as exc:

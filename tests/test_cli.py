@@ -435,6 +435,19 @@ def test_verify_rejects_boolean_symbol_exits_2(tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("digits", [19, 5000])
+def test_verify_refuses_a_long_symbol_exits_2(tmp_path, digits):
+    # the text of a 5000-digit int is refused by the interpreter's digit
+    # limit where it has one, and as a symbol out of range where it has not
+    path = tmp_path / "design.json"
+    path.write_text('{"alphabet":[3,3],"t":1,"k":2,"blocks":[[[0,1],[1,%s]]]}' % ("1" * digits))
+    result = run_cli("verify", "--claim", "gdd", str(path))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: ")
+    if digits == 19:
+        assert result.stderr == "error: symbol 1111111111111111111 out of range at coordinate 1 (size 3)\n"
+
+
 def test_transform_roundtrip(tmp_path):
     ls_path = tmp_path / "ls.json"
     ls_path.write_text(largeset_to_json(build_toy_large_set()))

@@ -28,6 +28,7 @@ from design_forge import (
     design_from_json,
     design_to_json,
     largeset_from_json,
+    largeset_to_gdd,
     largeset_to_json,
     min_distance,
     oa_extended,
@@ -439,8 +440,8 @@ def test_block_writer_numbers_only_the_entries_that_occur():
 
 
 def _reference_blocks(items) -> tuple[Codeword, ...]:
-    """The block list as it was read before canonical lists were accepted in
-    whole-list passes: every block goes through Codeword on its own."""
+    """The block list as it was read before compact lists were read in
+    whole-text passes: every block goes through Codeword on its own."""
     blocks = []
     for item in items:
         if not isinstance(item, list):
@@ -529,26 +530,119 @@ _BLOCK_LISTS = [
 ]
 
 
+def _layouts(text: str) -> tuple[str, str]:
+    """A file without whitespace, whose block list the readers take in
+    whole-text passes, and with json.dumps's default spacing, whose blocks
+    they read one at a time."""
+    data = json.loads(text)
+    return json.dumps(data, separators=(",", ":")), json.dumps(data)
+
+
+def _entry_objects(result) -> tuple[int, int, int]:
+    """The entry tuple objects that the blocks a reader returned hold, their
+    distinct (coordinate, symbol) values, and their entries in all.  Blocks
+    read in whole-text passes share one tuple per value; a block read on its
+    own makes tuples of its own."""
+    if isinstance(result, tuple):  # design_from_json's (design, resolution)
+        blocks = result[0].blocks
+    else:
+        blocks = [b for copy in result.copies for b in copy]
+    entries = [p for b in blocks for p in b.support]
+    return len(set(map(id, entries))), len(set(entries)), len(entries)
+
+
 @pytest.mark.parametrize("blocks", _BLOCK_LISTS)
 def test_design_reader_matches_the_per_block_reference(blocks):
     for k in (1, 2):
-        text = '{"alphabet":[2,2,2],"t":1,"k":%d,"blocks":%s}' % (k, blocks)
-        assert _read_blocks(design_from_json, text) == _read_blocks(_reference_design_from_json, text)
+        for text in _layouts('{"alphabet":[2,2,2],"t":1,"k":%d,"blocks":%s}' % (k, blocks)):
+            assert _read_blocks(design_from_json, text) == _read_blocks(_reference_design_from_json, text)
 
 
 @pytest.mark.parametrize("blocks", _BLOCK_LISTS)
 def test_largeset_reader_matches_the_per_block_reference(blocks):
     for copies in ("[%s]", "[[[[0,1],[1,1]]],%s]", "[%s,[[[0,1],[1,1]],[7]]]"):
-        text = '{"alphabet":[2,2,2],"t":1,"k":2,"copies":%s}' % (copies % blocks)
-        assert _read_blocks(largeset_from_json, text) == _read_blocks(_reference_largeset_from_json, text)
+        for text in _layouts('{"alphabet":[2,2,2],"t":1,"k":2,"copies":%s}' % (copies % blocks)):
+            assert _read_blocks(largeset_from_json, text) == _read_blocks(_reference_largeset_from_json, text)
 
 
 def test_every_canonical_file_reads_as_the_per_block_reference():
-    for design in verified_roster():
-        text = design_to_json(design)
-        assert _read_blocks(design_from_json, text) == _read_blocks(_reference_design_from_json, text)
-    text = largeset_to_json(build_toy_large_set())
-    assert _read_blocks(largeset_from_json, text) == _read_blocks(_reference_largeset_from_json, text)
+    files = [(design_from_json, _reference_design_from_json, design_to_json(d)) for d in verified_roster()]
+    files.append((largeset_from_json, _reference_largeset_from_json, largeset_to_json(build_toy_large_set())))
+    for read, reference, text in files:
+        compact, spaced = _layouts(text)
+        assert compact + "\n" == text
+        for layout in (compact, spaced):
+            assert _read_blocks(read, layout) == _read_blocks(reference, layout)
+        objects, distinct, _ = _entry_objects(read(compact))
+        assert objects == distinct
+        objects, _, entries = _entry_objects(read(spaced))
+        assert objects == entries
+
+
+_H = '{"alphabet":[3,3,3],"t":1,"k":2,'
+_G = "[[[0,1],[1,1]],[[0,2],[2,1]]]"
+_G_BLOCKS = [((0, 1), (1, 1)), ((0, 2), (2, 1))]
+_ESCAPED = '"bl\\u006fcks"'
+
+
+def _outcome(read, text):
+    """The blocks a reader returned (per copy for a large set), or the text
+    of its FormatError."""
+    try:
+        result = read(text)
+    except FormatError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        return [b.support for b in result[0].blocks]
+    return [[b.support for b in copy] for copy in result.copies]
+
+
+@pytest.mark.parametrize(
+    ("read", "text", "expected"),
+    [
+        # an escaped key "blocks" before or after the literal one: the last
+        # of the two is the value
+        (design_from_json, _H + _ESCAPED + ':[[[0,1],[1,2]]],"blocks":' + _G + "}", _G_BLOCKS),
+        (design_from_json, _H + '"blocks":' + _G + "," + _ESCAPED + ":[[[0,1],[1,2]]]}", [((0, 1), (1, 2))]),
+        # "blocks" in a nested object only, and next to an escaped top-level key
+        (design_from_json, _H + '"meta":{"blocks":' + _G + "}}", "missing key 'blocks'"),
+        (design_from_json, _H + '"x":{"blocks":' + _G + "}," + _ESCAPED + ":[[[0,1],[1,2]]]}", [((0, 1), (1, 2))]),
+        # duplicate keys: the last wins
+        (design_from_json, _H + '"blocks":' + _G + ',"blocks":[[[0,1],[1,2]]]}', [((0, 1), (1, 2))]),
+        (design_from_json, _H + '"blocks":[[[0,1],[1,2]]],"blocks":' + _G + "}", _G_BLOCKS),
+        (design_from_json, _H + '"blocks":' + _G + ',"meta":"blocks"}', _G_BLOCKS),
+        (design_from_json, _H + '"blocks":' + _G + "]}",
+         "not valid JSON: Expecting ',' delimiter: line 1 column 71 (char 70)"),
+        (design_from_json, _H + '"blocks":[[[01,1],[1,1]]]}',
+         "not valid JSON: Expecting ',' delimiter: line 1 column 46 (char 45)"),
+        (design_from_json, _H + '"blocks":[[[-0,1],[1,1]]]}', [((0, 1), (1, 1))]),
+        (design_from_json, _H + '"blocks":[[[1 0,1],[1,1]]]}',
+         "not valid JSON: Expecting ',' delimiter: line 1 column 47 (char 46)"),
+        (design_from_json, _H + '"blocks":[[[0,1],[1,%s]]]}' % ("1" * 19),
+         "symbol 1111111111111111111 out of range at coordinate 1 (size 3)"),
+        (design_from_json, _H + '"blocks":[[[0,1],[1,NaN]]]}', _ENTRY + "[1, nan]"),
+        (design_from_json, _H.replace('"k":2', '"k":true') + '"blocks":' + _G + "}", "t and k must be ints"),
+        (largeset_from_json, _H + '"copies":[' + _G + ",[]]}", [_G_BLOCKS, []]),
+        (largeset_from_json, _H + '"copies":[[],' + _G + "]}", [[], _G_BLOCKS]),
+        (largeset_from_json, _H.replace('"k":2', '"k":true') + '"copies":[' + _G + "]}", "t and k must be ints"),
+    ],
+)
+def test_compact_looking_files_read_as_their_json(read, text, expected):
+    assert _outcome(read, text) == expected
+
+
+def test_a_compact_fold_holds_one_tuple_per_entry():
+    text = design_to_json(largeset_to_gdd(build_sum_large_set(16, 3)))
+    tracemalloc.start()
+    try:
+        design, _ = design_from_json(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(design.blocks) == 65536
+    assert held <= 160 * len(design.blocks)
+    objects, distinct, _ = _entry_objects((design, None))
+    assert objects == distinct == 5 * 16
 
 
 _ODD_VALUES = st.one_of(
@@ -564,7 +658,8 @@ _ODD_VALUES = st.one_of(
 @st.composite
 def _mutated_files(draw):
     """A canonical design or large-set file with one block, entry, coordinate
-    or symbol replaced by another JSON value."""
+    or symbol replaced by another JSON value, written without whitespace or
+    with json.dumps's default spacing."""
     if draw(st.booleans()):
         design = draw(st.sampled_from(verified_roster()))
         data = json.loads(design_to_json(design))
@@ -583,7 +678,7 @@ def _mutated_files(draw):
         blocks[b][e] = value
     else:
         blocks[b][e][where == "symbol"] = value
-    return read, reference, json.dumps(data)
+    return read, reference, json.dumps(data, separators=draw(st.sampled_from([(",", ":"), None])))
 
 
 @settings(max_examples=200, deadline=None)
