@@ -172,9 +172,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    text = _read(args.file)
+    # the file's text is passed straight to its reader, so it is freed once
+    # parsed and not held while the check runs
     if args.claim == "oa":
-        array = oa_from_text(text)
+        array = oa_from_text(_read(args.file))
         strength = array.strength
         if args.strength is not None:
             strength = args.strength
@@ -182,12 +183,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             strength = args.t
         report = verify_oa(array, strength, max_words=args.max_words)
     elif args.claim == "largeset":
-        ls = largeset_from_json(text)
+        ls = largeset_from_json(_read(args.file))
         if args.t is not None and args.t != ls.t:
             ls = LargeSet(ls.alphabet, args.t, ls.k, ls.copies, lam=ls.lam)
         report = verify_large_set(ls, max_words=args.max_words)
     else:
-        design, resolution = design_from_json(text)
+        design, resolution = design_from_json(_read(args.file))
         if args.t is not None and args.t != design.t:
             design = MixedDesign(
                 design.alphabet, args.t, design.k, design.blocks, meta=design.meta
@@ -216,11 +217,11 @@ def _write_report(output: str | None, text: str) -> None:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    text = _read(args.file)
+    # as in cmd_verify, the text is freed once parsed
     if args.direction == "ls-to-gdd":
-        out = design_to_json(largeset_to_gdd(largeset_from_json(text)))
+        out = design_to_json(largeset_to_gdd(largeset_from_json(_read(args.file))))
     else:
-        design, _ = design_from_json(text)
+        design, _ = design_from_json(_read(args.file))
         out = largeset_to_json(gdd_to_largeset(design, args.hole))
     _write_report(args.output, out)
     return 0

@@ -367,29 +367,53 @@ def oa_from_text(text: str) -> OrthogonalArray:
         f"header must be 'OA <strength> <columns> <alphabet>', got {lines[0]!r}",
     )
     strength, columns, alphabet = (int(p) for p in head[1:])
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) == 1 and columns > 1:
-            _require(
-                alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),
-                f"row {ln!r} is not {columns} digits",
-            )
-            rows.append(tuple(int(ch) for ch in parts[0]))
-        else:
-            # a row of unsigned decimal ints is tested and read in C-level
-            # passes; only a row holding another token is walked for a '-'
-            _require(
-                len(parts) == columns and (
-                    all(map(str.isdecimal, parts)) or all(
-                        p.isdecimal() or (p.startswith("-") and p[1:].isdecimal())
-                        for p in parts
-                    )
-                ),
-                f"row {ln!r} does not hold {columns} ints",
-            )
-            rows.append(tuple(map(int, parts)))
+    rows = _oa_whole_text_rows(lines[1:], columns)
+    if rows is None:
+        rows = []
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) == 1 and columns > 1:
+                _require(
+                    alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),
+                    f"row {ln!r} is not {columns} digits",
+                )
+                rows.append(tuple(int(ch) for ch in parts[0]))
+            else:
+                # a row of unsigned decimal ints is tested and read in C-level
+                # passes; only a row holding another token is walked for a '-'
+                _require(
+                    len(parts) == columns and (
+                        all(map(str.isdecimal, parts)) or all(
+                            p.isdecimal() or (p.startswith("-") and p[1:].isdecimal())
+                            for p in parts
+                        )
+                    ),
+                    f"row {ln!r} does not hold {columns} ints",
+                )
+                rows.append(tuple(map(int, parts)))
     try:
         return OrthogonalArray(strength, columns, alphabet, tuple(rows))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _oa_whole_text_rows(body: list[str], columns: int) -> tuple | None:
+    """The rows of the stripped, nonblank row lines `body` when every line
+    splits into exactly `columns` decimal tokens, read in whole-text passes;
+    None for any other text, which is read line by line, and for no rows
+    (0 tokens, not -1), so nothing of size `columns` is built for a bare
+    header.  One split reads the lines joined by ';' tokens.  Of
+    rows * (columns + 1) - 1 tokens, every (columns + 1)-th is dropped, and
+    when every token left is decimal, the rows - 1 dropped were the ';'
+    line ends.  Each distinct token is tested and read as an int once, in
+    the order it first occurs, so a symbol too long for int fails on the
+    token a line-by-line read fails on."""
+    tokens = " ; ".join(body).split()
+    if len(tokens) != len(body) * (columns + 1) - 1:
+        return None
+    del tokens[columns :: columns + 1]
+    values = dict.fromkeys(tokens)
+    if not all(map(str.isdecimal, values)):
+        return None
+    values = dict(zip(values, map(int, values)))
+    return tuple(zip(*[map(values.__getitem__, tokens)] * columns))

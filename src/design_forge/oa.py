@@ -9,6 +9,7 @@ order, so the q constant rows of oa_square(q) (multiplier a = 0) come first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, filterfalse, product, repeat
 from operator import add, mul
 
@@ -106,9 +107,14 @@ def verify_oa(
     over 0..alphabet-1 exactly once.  On failure the first violation in
     (column set, symbol tuple) lexicographic order is reported.  The
     C(columns, t) x rows tuples read, and the t symbols of the tuple a
-    failure names, are bounded by the verifiers' ceiling.  Only a column
-    set that its base-k keys cannot accept is counted as tuples, and an
-    array of other than alphabet^t rows reads one set."""
+    failure names, are bounded by the verifiers' ceiling.  A column set is
+    accepted when its rows, read as base-k keys, are distinct; only a set
+    they cannot accept is counted as tuples, and an array of other than
+    alphabet^t rows reads one set.  At t = 2 with no more symbols than
+    columns (OA(2, q, q) and OA(2, q+1, q)), each column is first tested
+    against all others at once by row signatures (_signature_misses), and
+    only the pairs (a, b), b > a, of a column a that fails are read by
+    keys.  Narrower arrays and t >= 3 read every column set by keys."""
     if t < 1:
         raise ValueError("strength must be >= 1")
     if t > array.columns:
@@ -132,22 +138,61 @@ def verify_oa(
         cols = tuple(range(t))
         return _strength_failure(cols, [row[:t] for row in rows], k, total, t)
     table = list(zip(*rows))
+    if t == 2 and k <= array.columns:
+        # a column the signatures pass carries every pair with every other
+        # column, so a pair (b, a) with b < a passed at b; only the pairs
+        # (a, b), b > a, of a column they miss are read
+        sets = (
+            (a, b) for a in _signature_misses(table, k) for b in range(a + 1, array.columns)
+        )
+    else:
+        sets = combinations(range(array.columns), t)
+
     # the rows of a column set read as base-k ints, one per row, are
-    # distinct exactly when they carry every t-tuple once.  scaled[j] holds
-    # the columns that can stand at place j < t - 1 times that place's
-    # weight k**(t-1-j); the last place is the column itself
-    span = array.columns - t + 1
-    scaled = [
-        [list(map(mul, table[c], repeat(k ** (t - 1 - j)))) for c in range(j, span + j)]
-        for j in range(t - 1)
-    ]
-    for cols in combinations(range(array.columns), t):
+    # distinct exactly when they carry every t-tuple once.  scaled(j, c) is
+    # column c standing at place j < t - 1, times that place's weight
+    # k**(t-1-j); the last place is the column itself
+    @cache
+    def scaled(j, c):
+        return list(map(mul, table[c], repeat(k ** (t - 1 - j))))
+
+    for cols in sets:
         keys = table[cols[-1]]
         for j in range(t - 1):
-            keys = map(add, keys, scaled[j][cols[j] - j])
+            keys = map(add, keys, scaled(j, cols[j]))
         if len(set(keys)) != total:
             return _strength_failure(cols, list(zip(*(table[c] for c in cols))), k, total, t)
     return VerificationReport(True, "oa", stats={"strength": t})
+
+
+def _signature_misses(table, k):
+    """Yield each column a < n - 1 of an array of k*k rows over 0..k-1 (as
+    the columns `table`) that does not carry every symbol pair once with
+    every other column.  Each row is one int, its signature: field c, w =
+    k + bits(k) + 1 bits wide, holds bit y when the row has symbol y at
+    column c.  The rows are grouped by their symbol x at a, and the column
+    passes when every group holds k rows and sums to k * 2**x at field a
+    and 2**k - 1 at every other field.  k rows put at most k * 2**(k-1) <
+    2**w in a field, so no sum spills into the next field, and k powers of
+    two below 2**k sum to 2**k - 1 only when they are distinct: in group
+    x every other column holds every symbol once."""
+    w = k + k.bit_length() + 1
+    fields = range(0, len(table) * w, w)
+    signatures = list(map(sum, zip(*(
+        map([1 << f + y for y in range(k)].__getitem__, column)
+        for f, column in zip(fields, table)
+    ))))
+    every = (1 << k) - 1
+    full = every * sum(1 << f for f in fields)
+    sizes = [k] * k
+    for a, f in enumerate(fields[:-1]):
+        groups = [[] for _ in range(k)]
+        any(map(list.append, map(groups.__getitem__, table[a]), signatures))
+        rest = full - (every << f)
+        if list(map(len, groups)) != sizes or list(map(sum, groups)) != [
+            rest + (k << f + x) for x in range(k)
+        ]:
+            yield a
 
 
 def _column_set_tuples(columns: int, t: int, rows: int, ceiling: int) -> int:

@@ -18,6 +18,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
+from operator import attrgetter
 
 from .core import (
     Codeword,
@@ -348,7 +349,9 @@ def verify_large_set(ls: LargeSet, max_words: int | None = None) -> Verification
         "t": ls.t,
         "k": ls.k,
     }
-    members = [b.support for copy in ls.copies for b in set(copy)]
+    # a copy's distinct blocks, found by hashing their support tuples in C
+    # rather than each Codeword through its generated Python __hash__
+    members = [s for copy in ls.copies for s in set(map(attrgetter("support"), copy))]
     miss = first_miscount(members, total, lambda: word_supports(ls.alphabet, ls.k), ls.lam)
     if miss is not None:
         support, c = miss

@@ -10,10 +10,19 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from design_forge import LargeSet, cli, largeset_to_json
+from design_forge import (
+    LargeSet,
+    cli,
+    design_to_json,
+    largeset_to_gdd,
+    largeset_to_json,
+    oa_square,
+    oa_to_text,
+)
 from tests.conftest import build_sum_large_set, build_toy_large_set
 
 
@@ -446,6 +455,46 @@ def test_verify_refuses_a_long_symbol_exits_2(tmp_path, digits):
     assert result.stderr.startswith("error: ")
     if digits == 19:
         assert result.stderr == "error: symbol 1111111111111111111 out of range at coordinate 1 (size 3)\n"
+
+
+@pytest.mark.parametrize(
+    "command, checker",
+    [
+        (["verify", "--claim", "gdd"], "verify_gdd"),
+        (["verify", "--claim", "largeset"], "verify_large_set"),
+        (["verify", "--claim", "oa"], "verify_oa"),
+        (["transform", "ls-to-gdd"], "largeset_to_gdd"),
+        (["transform", "gdd-to-ls"], "gdd_to_largeset"),
+    ],
+)
+def test_the_input_text_is_freed_before_the_check_runs(tmp_path, monkeypatch, capsys, command, checker):
+    # the input ends in 8 MB of whitespace that no reader keeps; once it is
+    # parsed, the text is gone, so the check starts holding far less
+    ls = build_toy_large_set()
+    text = {
+        "gdd": design_to_json(largeset_to_gdd(ls)),
+        "largeset": largeset_to_json(ls),
+        "oa": oa_to_text(oa_square(3)),
+        "ls-to-gdd": largeset_to_json(ls),
+        "gdd-to-ls": design_to_json(largeset_to_gdd(ls)),
+    }[command[-1]]
+    path = tmp_path / "input"
+    path.write_text(text + " " * 8_000_000 + "\n")
+    check = getattr(cli, checker)
+    held = []
+
+    def wrapped(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, checker, wrapped)
+    tracemalloc.start()
+    try:
+        code = cli.main([*command, str(path), "-o", str(tmp_path / "out")])
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert len(held) == 1 and held[0] < 1_000_000
 
 
 def test_transform_roundtrip(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import design_forge.formats as formats
 from design_forge import (
     AlphabetMismatch,
     Codeword,
@@ -839,6 +840,53 @@ def _read_oa(read, text):
 )
 def test_oa_reader_matches_the_per_row_reference(text):
     assert _read_oa(oa_from_text, text) == _read_oa(_reference_oa_from_text, text)
+
+
+def _oa_layouts():
+    square = oa_to_text(oa_extended(4))  # OA(2, 5, 4), 16 rows
+    head, *lines = square.splitlines()
+    eight = oa_to_text(oa_square(8)).splitlines()
+    short_long = [lines[0].rsplit(" ", 1)[0], lines[1] + " 0", *lines[2:]]
+    return [
+        ("canonical", square, True),
+        ("tabs", square.replace(" ", "\t"), True),
+        ("double spaces", square.replace(" ", "  "), True),
+        ("blank lines and CRLF", "\r\n\r\n" + "\r\n\r\n".join([head, *lines]) + "\r\n", True),
+        ("digit-string rows", "\n".join([head, *(line.replace(" ", "") for line in lines)]), False),
+        ("a negative symbol", "\n".join([head, "-1" + lines[0][1:], *lines[1:]]), False),
+        ("007", "\n".join([*eight[:8], eight[8].replace("7", "007"), *eight[9:]]), True),
+        ("a 19-digit symbol", "\n".join([head, lines[0], "1" * 19 + lines[1][1:], *lines[2:]]), True),
+        # the same number of tokens as 16 rows of 5, split 4 and 6
+        ("a short row and a long row", "\n".join([head, *short_long]), False),
+        ("OA 2 100000000 2 with no rows", "OA 2 100000000 2\n", False),
+    ]
+
+
+@pytest.mark.parametrize("text, whole", [c[1:] for c in _oa_layouts()], ids=[c[0] for c in _oa_layouts()])
+def test_oa_reader_reads_each_layout_as_the_per_line_loop(monkeypatch, text, whole):
+    # each layout reads to the array, or the FormatError text, of the
+    # per-line loop alone; only a text whose every row line splits into
+    # `columns` decimal tokens is read in whole-text passes, and those
+    # passes build nothing of size `columns` for a header with no rows
+    whole_text_rows = formats._oa_whole_text_rows
+    taken = []
+
+    def spied(body, columns):
+        rows = whole_text_rows(body, columns)
+        taken.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(formats, "_oa_whole_text_rows", spied)
+    tracemalloc.start()
+    try:
+        read = _read_oa(oa_from_text, text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert taken == [whole]
+    assert peak < 1_000_000
+    monkeypatch.setattr(formats, "_oa_whole_text_rows", lambda body, columns: None)
+    assert read == _read_oa(oa_from_text, text)
 
 
 def test_min_distance_survives_roundtrip():

@@ -423,7 +423,8 @@ def _reference_verify_oa(array, t, max_words=None):
 def _edited_rows(array, edit, seed):
     """The rows of the array with one seeded edit: a row deleted or
     duplicated, a cell changed to another symbol or set to a given value,
-    or every row gone."""
+    two cells of one column swapped (which keeps every column's symbol
+    counts), or every row gone."""
     rng = random.Random(f"{seed}:{edit}")
     rows = [list(row) for row in array.rows]
     i, c = rng.randrange(len(rows)), rng.randrange(array.columns)
@@ -434,6 +435,9 @@ def _edited_rows(array, edit, seed):
         rows.insert(rng.randrange(len(rows) + 1), list(rows[i]))
     elif edit == "change":
         rows[i][c] = (rows[i][c] + rng.randrange(1, k)) % k
+    elif edit == "swap":
+        j = rng.randrange(len(rows))
+        rows[i][c], rows[j][c] = rows[j][c], rows[i][c]
     elif edit == "empty":
         rows = []
     elif edit != "none":
@@ -458,7 +462,7 @@ REFERENCE_ARRAYS = (
     + [(f"extended-{q}", oa_extended, (q,)) for q in ORDERS]
     + [(f"sum-{t}-{k}", oa_sum, (t, k)) for t, k in [(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]]
 )
-EDITS = ["none", "delete", "duplicate", "change", "True", "empty"]
+EDITS = ["none", "delete", "duplicate", "change", "swap", "True", "empty"]
 
 
 @pytest.mark.parametrize("edit", EDITS)
@@ -469,6 +473,30 @@ def test_verify_oa_matches_the_tuple_count_reference(build, args, edit):
         array = _edited(base, edit, seed)
         for t in (1, 2, 3):
             assert _outcome(verify_oa, array, t) == _outcome(_reference_verify_oa, array, t)
+
+
+def _equal_sum_group():
+    # the four rows with symbol 1 at column 0 of OA(2, 5, 4) get 2, 1, 0, 0
+    # there instead: 2**2 + 2**1 + 2**0 + 2**0 equals the 4 * 2**1 of a pure
+    # group, but groups 0 and 2 of column 0 now hold 6 and 5 rows
+    rows = [list(row) for row in oa_extended(4).rows]
+    for row, symbol in zip([row for row in rows if row[0] == 1], (2, 1, 0, 0)):
+        row[0] = symbol
+    return OrthogonalArray(2, 5, 4, tuple(map(tuple, rows)))
+
+
+def _last_column_repeated():
+    # OA(2, 4, 4) with its last column appended again: only the last pair
+    # of columns, read from the signatures of the next-to-last, fails
+    return OrthogonalArray(2, 5, 4, tuple(row + row[-1:] for row in oa_square(4).rows))
+
+
+@pytest.mark.parametrize("build", [_equal_sum_group, _last_column_repeated])
+def test_verify_oa_matches_the_reference_on_hand_made_failures(build):
+    array = build()
+    for t in (1, 2, 3):
+        assert _outcome(verify_oa, array, t) == _outcome(_reference_verify_oa, array, t)
+    assert not verify_oa(array, 2).ok
 
 
 @pytest.mark.parametrize("edit", ["-1", "k", "1.5"])
@@ -495,6 +523,29 @@ def test_verify_oa_accepts_without_counting_tuples(monkeypatch, build, args):
     array = build(*args)
     monkeypatch.setattr(oa_module, "first_miscount", counted)
     assert verify_oa(array, array.strength).ok
+
+
+@pytest.mark.parametrize("build, args", [a[1:] for a in REFERENCE_ARRAYS], ids=[a[0] for a in REFERENCE_ARRAYS])
+def test_verify_oa_reads_signatures_when_no_more_symbols_than_columns(monkeypatch, build, args):
+    # at t = 2 an array with alphabet <= columns is read by row signatures,
+    # which pass every column of a valid array; any other array and t are
+    # read by keys alone
+    array = build(*args)
+    table = list(zip(*array.rows))
+    signature_misses = oa_module._signature_misses
+    read = []
+
+    def spied(table, k):
+        read.append(k)
+        return signature_misses(table, k)
+
+    monkeypatch.setattr(oa_module, "_signature_misses", spied)
+    for t in range(1, min(3, array.columns) + 1):
+        verify_oa(array, t)
+    wide = array.strength == 2 and array.alphabet <= array.columns
+    assert read == ([array.alphabet] if wide else [])
+    if wide:
+        assert list(signature_misses(table, array.alphabet)) == []
 
 
 def test_verify_oa_reads_one_column_set_when_the_row_count_is_wrong():

@@ -441,6 +441,17 @@ def test_verify_large_set_bad_copy():
     assert report.counterexample.kind == "copy"
 
 
+def test_verify_large_set_counts_a_block_repeated_in_a_copy_once():
+    # a copy's distinct blocks count toward the multiplicities, which so
+    # still hold; the copy itself then covers that block's words twice
+    ls = build_toy_large_set()
+    copy = ls.copies[0] + ls.copies[0][:1]
+    report = verify_large_set(LargeSet(ls.alphabet, ls.t, ls.k, (copy, ls.copies[1])))
+    assert not report.ok
+    ce = report.counterexample
+    assert (ce.kind, ce.class_index, ce.count) == ("copy", 0, 2)
+
+
 def test_large_set_refuses_unfit_blocks_and_verify_rejects_a_changed_one():
     ls = build_toy_large_set()
     first = ls.copies[0][0]
