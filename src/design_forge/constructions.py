@@ -31,11 +31,12 @@ from .errors import (
     Infeasible,
     LargeSetInvalid,
     NoSuchSystem,
+    NotPrimePower,
     NotResolvable,
     ROutOfRange,
     TypeMismatch,
 )
-from .fields import field_create
+from .fields import prime_power
 from .oa import oa_extended, oa_square
 from .verify import (
     Counterexample,
@@ -593,10 +594,21 @@ def expand_design(design: MixedDesign, resolution: Resolution, i: int) -> Partit
     parallel classes (merged across each class of T), while a replaced X
     contributes the (k-1)^2 transversal blocks of an OA(2, k, k-1) to R.
     The n column blocks {x} x Z_{k-1} form one shared class, so the result
-    has r = n - (k-1)*i classes."""
+    has r = n - (k-1)*i classes.
+
+    The base system needs GF(k) and the OA(2, k, k-1) needs GF(k-1), so k
+    must be a prime power, and k-1 one too when i >= 1 (NotPrimePower,
+    naming which one fails, before anything is built)."""
     _replaced_in_range(resolution, i)
     k = design.k
     n = design.alphabet.n
+    if prime_power(k) is None:
+        raise NotPrimePower(f"k = {k} is not a prime power, which the hybrid's base system needs")
+    if i and prime_power(k - 1) is None:
+        raise NotPrimePower(
+            f"k - 1 = {k - 1} is not a prime power: replacing i >= 1 classes needs "
+            "k and k - 1 both prime powers"
+        )
     rep = verify_steiner(design, 2, k, n)
     if not rep.ok:
         raise NotResolvable(f"input fails the S(2,{k},{n}) check: {rep.counterexample.detail}")
@@ -607,7 +619,6 @@ def expand_design(design: MixedDesign, resolution: Resolution, i: int) -> Partit
         raise NotResolvable(
             f"{len(resolution.classes)} classes, expected {(n - 1) // (k - 1)}"
         )
-    field_create(k)  # k must be a prime power for the base system
     w = k - 1
 
     def flat(x: int, j: int) -> int:
@@ -648,7 +659,9 @@ def construct_hybrid_ms(design: MixedDesign, resolution: Resolution, i: int) -> 
     expanded, the output's C(N, 2) + N*r weight-2 words (N = (k-1)n binary
     points, r the new coordinate's nonzero symbols) are held to the word
     ceiling.  Counting settles the distance, so no block pair is compared,
-    and the output check counts those words in one byte each."""
+    and the output check counts those words in one bit each, by one bitmask
+    per (coordinate, symbol) entry (verify._pair_masks).  k must be a prime
+    power, and k - 1 one too when i >= 1 (see expand_design)."""
     _replaced_in_range(resolution, i)
     points = (design.k - 1) * design.alphabet.n
     symbols = design.alphabet.n - (design.k - 1) * i

@@ -116,11 +116,17 @@ class MixedAlphabet:
 
 def _check_blocks(alphabet: MixedAlphabet, k: int, blocks) -> None:
     """The fit of a block list, shared by designs and large sets: every
-    block has weight k and fits the alphabet."""
+    block has weight k and fits the alphabet.  One inlined pass over the
+    supports; check_word runs only on a misfit, to name it."""
+    sizes = alphabet.sizes
+    n = len(sizes)
     for b in blocks:
-        if len(b.support) != k:
-            raise ValueError(f"block {b.support} has weight {b.weight}, not {k}")
-        alphabet.check_word(b)
+        support = b.support
+        if len(support) != k:
+            raise ValueError(f"block {support} has weight {len(support)}, not {k}")
+        for c, s in support:
+            if c >= n or s >= sizes[c]:
+                alphabet.check_word(b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,12 +352,13 @@ def _type_word_count(pairs, t: int) -> int:
 def first_miscount(items: list, total: int, ordered, want: int = 1):
     """The exactly-once kernel of coverage at t != 2 and of the
     multiplicity, strength and parallel-class checks (verify._pair_miscount
-    counts weight-2 coverage in packed form): None when the items hold each
-    of the `total` elements that `ordered()` yields exactly `want` times,
-    otherwise (element, count) for the first element in that order whose
-    count differs.  The accept test only counts, so every item must be one
-    of those elements.  `ordered` is called only on failure, and a Counter
-    is built only when some item repeats or want > 1."""
+    counts weight-2 coverage in packed form, one bit or one byte per word):
+    None when the items hold each of the `total` elements that `ordered()`
+    yields exactly `want` times, otherwise (element, count) for the first
+    element in that order whose count differs.  The accept test only
+    counts, so every item must be one of those elements.  `ordered` is
+    called only on failure, and a Counter is built only when some item
+    repeats or want > 1."""
     if want == 1:
         seen = set(items)
         if len(items) == total == len(seen):

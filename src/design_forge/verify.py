@@ -6,9 +6,11 @@ that can be re-checked independently (a word with its true cover count, a
 block pair with its distance, or a coordinate/class pair for resolutions).
 The word enumeration is guarded by a ceiling (default 10**8 words,
 overridable per call or via DESIGN_FORGE_MAX_WORDS); weight-2 coverage is
-counted in one byte per word, so that ceiling also bounds its memory.  The
-mixed Steiner distance pass, run only where counting cannot settle the
-distance, is guarded by the same ceiling on block pairs.
+counted in one bit per word plus one int per (coordinate, symbol) entry, or
+in one byte per word on an alphabet too wide for bitmasks, so that ceiling
+also bounds its memory.  The mixed Steiner distance pass, run only where
+counting cannot settle the distance, is guarded by the same ceiling on
+block pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from operator import attrgetter
@@ -127,13 +130,95 @@ def _coverage_counterexample(alphabet: MixedAlphabet, t: int, blocks, ceiling: i
     )
 
 
-# a slot's byte -> 0 when its word is covered exactly once, else 1
-_MISCOUNT = bytes([1, 0] + [1] * 254)
+# masks while the entries are at most this many times k - 1, bytes above
+_MASK_ENTRIES_PER_K = 4096
 
 
 def _pair_miscount(alphabet: MixedAlphabet, blocks, total: int):
     """first_miscount of the blocks' weight-2 subwords against the `total`
-    weight-2 words, in one byte per word and without a walk.
+    weight-2 words, without a walk.  A block costs k big-int ORs under
+    _pair_masks and C(k, 2) byte increments under _pair_bytes.  An OR costs
+    time in proportion to its width, up to P = sum(q_i - 1) bits, so masks
+    serve while P <= 4096 (k - 1) and bytes above, where an alphabet with
+    one wide coordinate would make masks quadratic."""
+    k = len(blocks[0].support) if blocks else 0
+    if sum(alphabet.sizes) - alphabet.n <= _MASK_ENTRIES_PER_K * (k - 1):
+        return _pair_masks(alphabet, blocks, total)
+    return _pair_bytes(alphabet, blocks, total)
+
+
+def _pair_masks(alphabet: MixedAlphabet, blocks, total: int):
+    """_pair_miscount by one bitmask per entry, for blocks of weight >= 2.
+
+    The entries (c, s) are numbered 0..P-1 in order, and entry y is bit
+    P-1-y, so the entries of the coordinates after c are the low
+    P - cut[c] bits.  A block's support is walked once in reverse: each
+    entry x ORs the bits already passed into seen[x], then adds its own.
+    seen[x] holds only words of x, so its set bits count distinct covered
+    words; the blocks accept when that count, their own pair count and
+    `total` agree.  Equal counts with fewer than `total` words leave no
+    word covered twice.  Otherwise a second pass also keeps
+    twice[x] |= seen[x] & passed.  The violator is read off the masks:
+    the least c1 with a bad entry, and for each of its entries the highest
+    bad bit, the least (c2, s2); the least (c2, s1) of those wins.  Only a
+    word covered twice is recounted over the blocks."""
+    sizes = alphabet.sizes
+    cut = list(accumulate(q - 1 for q in sizes))  # the entries of coordinates <= c
+    p = cut[-1]
+    off = [e - q for e, q in zip(cut, sizes)]  # entry (c, s) is off[c] + s
+    top = [p - 1 - o for o in off]  # entry (c, s) is bit top[c] - s
+    seen = [0] * p
+    for b in blocks:
+        # the last entry has no bits to take, and the first none to give
+        support = b.support
+        c, s = support[-1]
+        passed = 1 << (top[c] - s)
+        for c, s in support[-2:0:-1]:
+            seen[off[c] + s] |= passed
+            passed |= 1 << (top[c] - s)
+        c, s = support[0]
+        seen[off[c] + s] |= passed
+    widths = Counter(map(len, map(attrgetter("support"), blocks)))
+    pairs = sum(m * (w * (w - 1) // 2) for w, m in widths.items())
+    covered = sum(map(int.bit_count, seen))
+    if covered == pairs == total:
+        return None
+    twice = [0] * p
+    if covered != pairs:
+        seen = [0] * p
+        for b in blocks:
+            passed = 0
+            for c, s in reversed(b.support):
+                x = off[c] + s
+                m = seen[x]
+                twice[x] |= m & passed
+                seen[x] = m | passed
+                passed |= 1 << (top[c] - s)
+    for c1, end in enumerate(cut):
+        full = (1 << (p - end)) - 1
+        best = None
+        for x in range(end - sizes[c1] + 1, end):
+            bad = (full ^ seen[x]) | twice[x]
+            if bad:
+                y = p - bad.bit_length()
+                c2 = bisect_right(cut, y)
+                if best is None or c2 < best[0]:
+                    best = c2, x, y
+        if best is not None:
+            break
+    c2, x, y = best
+    u, v = (c1, x - off[c1]), (c2, y - off[c2])
+    if twice[x] >> (p - 1 - y) & 1:
+        return (u, v), sum(u in b.support and v in b.support for b in blocks)
+    return (u, v), 0
+
+
+# a slot's byte -> 0 when its word is covered exactly once, else 1
+_MISCOUNT = bytes([1, 0] + [1] * 254)
+
+
+def _pair_bytes(alphabet: MixedAlphabet, blocks, total: int):
+    """_pair_miscount in one byte per word.
 
     The entries (c, s) are numbered 0..P-1 in order; entry x owns a row of
     one slot per entry y of a later coordinate, slot row[x] + y, so there

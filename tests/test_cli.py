@@ -156,6 +156,16 @@ def test_hybrid_input_must_agree_with_k_and_n(tmp_path):
     assert both.returncode == 0
 
 
+def test_hybrid_names_k_minus_1_when_it_is_not_a_prime_power():
+    result = run_cli("construct", "--family", "hybrid", "--k", "7", "--i", "1")
+    assert result.returncode == 2
+    assert result.stderr == (
+        "error: k - 1 = 6 is not a prime power: replacing i >= 1 classes needs "
+        "k and k - 1 both prime powers\n"
+    )
+    assert result.stdout == ""
+
+
 def test_construct_is_bounded_by_the_word_ceiling():
     import os
 

@@ -8,7 +8,9 @@ import pytest
 
 from design_forge import (
     Codeword,
+    MixedAlphabet,
     MixedDesign,
+    NotPrimePower,
     NotResolvable,
     Resolution,
     construct_hybrid_ms,
@@ -55,6 +57,33 @@ def test_the_replaced_count_is_checked_first(monkeypatch, build, i):
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "0")
     with pytest.raises(ValueError, match=f"^need 0 <= i <= 4, got {i}$"):
         build(design, resolution, i)
+
+
+@pytest.mark.parametrize(
+    "k, i, message",
+    [
+        (6, 0, "k = 6 is not a prime power, which the hybrid's base system needs"),
+        (6, 1, "k = 6 is not a prime power"),
+        (7, 1, "k - 1 = 6 is not a prime power: replacing i >= 1 classes needs k and k - 1 both"),
+        (2, 1, "k - 1 = 1 is not a prime power"),
+    ],
+)
+def test_expand_design_names_the_order_that_is_not_a_prime_power(k, i, message):
+    # the one-block S(2, k, k), whose one block is its one parallel class
+    design = MixedDesign(
+        MixedAlphabet((2,) * k), 2, k, (Codeword(tuple((c, 1) for c in range(k))),)
+    )
+    resolution = Resolution(((0,),))
+    with pytest.raises(NotPrimePower, match=f"^{message}"):
+        expand_design(design, resolution, i)
+    with pytest.raises(NotPrimePower, match=f"^{message}"):
+        construct_hybrid_ms(design, resolution, i)
+
+
+def test_a_prime_power_k_with_i_0_needs_nothing_of_k_minus_1():
+    design = MixedDesign(MixedAlphabet((2,) * 7), 2, 7, (Codeword(tuple((c, 1) for c in range(7))),))
+    hybrid = construct_hybrid_ms(design, Resolution(((0,),)), 0)
+    assert verify_mixed_steiner(hybrid).ok
 
 
 def test_expand_design_counts_k3():
