@@ -357,9 +357,13 @@ def oa_to_text(array: OrthogonalArray) -> str:
 
 def oa_from_text(text: str) -> OrthogonalArray:
     """Read the OA text format.  Rows may be space-separated ints or, for
-    alphabets of at most ten symbols, unseparated digit strings.
-    OrthogonalArray's refusal of the alphabet or a symbol is a FormatError."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    alphabets of at most ten symbols, unseparated digit strings.  A row of
+    `columns` tokens is read through a table of the distinct decimal tokens
+    met so far: each is tested with isdecimal and read with int once, the
+    first time a row holds it.  Any other row is checked on its own, and an
+    error names the first bad line.  OrthogonalArray's refusal of the
+    alphabet or a symbol is a FormatError."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     _require(bool(lines), "empty input")
     head = lines[0].split()
     _require(
@@ -367,53 +371,40 @@ def oa_from_text(text: str) -> OrthogonalArray:
         f"header must be 'OA <strength> <columns> <alphabet>', got {lines[0]!r}",
     )
     strength, columns, alphabet = (int(p) for p in head[1:])
-    rows = _oa_whole_text_rows(lines[1:], columns)
-    if rows is None:
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) == 1 and columns > 1:
-                _require(
-                    alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),
-                    f"row {ln!r} is not {columns} digits",
-                )
-                rows.append(tuple(int(ch) for ch in parts[0]))
-            else:
-                # a row of unsigned decimal ints is tested and read in C-level
-                # passes; only a row holding another token is walked for a '-'
-                _require(
-                    len(parts) == columns and (
-                        all(map(str.isdecimal, parts)) or all(
-                            p.isdecimal() or (p.startswith("-") and p[1:].isdecimal())
-                            for p in parts
-                        )
-                    ),
-                    f"row {ln!r} does not hold {columns} ints",
-                )
-                rows.append(tuple(map(int, parts)))
+    rows = []
+    ints = {}
+    append, read = rows.append, ints.__getitem__
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) == columns:
+            try:
+                append(tuple(map(read, parts)))
+                continue
+            except KeyError:
+                # the row's new tokens, in line order, join the table only
+                # when all are decimal; a '-' or any other token meets the
+                # checks below
+                new = dict.fromkeys(p for p in parts if p not in ints)
+                if all(map(str.isdecimal, new)):
+                    ints.update(zip(new, map(int, new)))
+                    append(tuple(map(read, parts)))
+                    continue
+        if len(parts) == 1 and columns > 1:
+            _require(
+                alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),
+                f"row {ln!r} is not {columns} digits",
+            )
+            append(tuple(int(ch) for ch in parts[0]))
+        else:
+            _require(
+                len(parts) == columns and all(
+                    p.isdecimal() or (p.startswith("-") and p[1:].isdecimal())
+                    for p in parts
+                ),
+                f"row {ln!r} does not hold {columns} ints",
+            )
+            append(tuple(map(int, parts)))
     try:
         return OrthogonalArray(strength, columns, alphabet, tuple(rows))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def _oa_whole_text_rows(body: list[str], columns: int) -> tuple | None:
-    """The rows of the stripped, nonblank row lines `body` when every line
-    splits into exactly `columns` decimal tokens, read in whole-text passes;
-    None for any other text, which is read line by line, and for no rows
-    (0 tokens, not -1), so nothing of size `columns` is built for a bare
-    header.  One split reads the lines joined by ';' tokens.  Of
-    rows * (columns + 1) - 1 tokens, every (columns + 1)-th is dropped, and
-    when every token left is decimal, the rows - 1 dropped were the ';'
-    line ends.  Each distinct token is tested and read as an int once, in
-    the order it first occurs, so a symbol too long for int fails on the
-    token a line-by-line read fails on."""
-    tokens = " ; ".join(body).split()
-    if len(tokens) != len(body) * (columns + 1) - 1:
-        return None
-    del tokens[columns :: columns + 1]
-    values = dict.fromkeys(tokens)
-    if not all(map(str.isdecimal, values)):
-        return None
-    values = dict(zip(values, map(int, values)))
-    return tuple(zip(*[map(values.__getitem__, tokens)] * columns))

@@ -22,6 +22,7 @@ from design_forge import (
     MixedAlphabet,
     MixedDesign,
     OrthogonalArray,
+    Resolution,
     base_system,
     combine_partition,
     construct_from_oa,
@@ -100,10 +101,80 @@ def brute_force_min_distance(design: MixedDesign):
     return best, witness
 
 
+def _resolvable(classes: list[list[tuple[int, ...]]], n: int, meta: str) -> tuple[MixedDesign, Resolution]:
+    """A design over n binary points from parallel classes of point blocks,
+    with its resolution: blocks numbered class by class."""
+    blocks, indices = [], []
+    for cls in classes:
+        indices.append(tuple(range(len(blocks), len(blocks) + len(cls))))
+        blocks += [Codeword(tuple((p, 1) for p in block)) for block in cls]
+    design = MixedDesign(MixedAlphabet((2,) * n), 2, len(classes[0][0]), tuple(blocks), meta=meta)
+    return design, Resolution(tuple(indices))
+
+
+@cache
+def build_kts15() -> tuple[MixedDesign, Resolution]:
+    """A Kirkman triple system KTS(15), a resolvable S(2, 3, 15), on
+    Z_7 x {0, 1} with a fixed point: (a, l) is point 7l + a and the fixed
+    point is 14.  Its 105 point pairs fall into 15 orbits under a -> a + 1
+    mod 7.  A search over the partitions of the 15 points into 5 triples
+    finds a base class whose 15 pairs meet every orbit once; the 7 classes
+    are that class developed mod 7."""
+
+    def orbit(p: int, q: int):  # p < q
+        if q == 14:
+            return ("fixed", p // 7)
+        (l, a), (m, b) = divmod(p, 7), divmod(q, 7)
+        if l != m:
+            return ("mixed", (b - a) % 7)
+        return ("pure", l, min((b - a) % 7, (a - b) % 7))
+
+    def search(free: list[int], used: set) -> list[tuple[int, ...]] | None:
+        if not free:
+            return []
+        p, rest = free[0], free[1:]
+        for q, r in combinations(rest, 2):
+            orbits = {orbit(p, q), orbit(p, r), orbit(q, r)}
+            if len(orbits) < 3 or orbits & used:
+                continue
+            found = search([x for x in rest if x not in (q, r)], used | orbits)
+            if found is not None:
+                return [(p, q, r), *found]
+        return None
+
+    base = search(list(range(15)), set())
+
+    def shift(p: int, j: int) -> int:
+        return p if p == 14 else 7 * (p // 7) + (p + j) % 7
+
+    classes = [[tuple(sorted(shift(p, j) for p in triple)) for triple in base] for j in range(7)]
+    return _resolvable(classes, 15, "KTS(15)")
+
+
+@cache
+def build_ag33_lines() -> tuple[MixedDesign, Resolution]:
+    """The 117 lines of the affine space AG(3, 3), a resolvable
+    S(2, 3, 27): point (x, y, z) of GF(3)^3 is 9x + 3y + z, and each of the
+    13 directions (first nonzero entry 1) gives a parallel class of 9
+    lines."""
+    points = list(product(range(3), repeat=3))
+    directions = [d for d in points if next(filter(None, d), 0) == 1]
+
+    def line(x, d) -> tuple[int, ...]:
+        return tuple(sorted(
+            9 * ((x[0] + s * d[0]) % 3) + 3 * ((x[1] + s * d[1]) % 3) + (x[2] + s * d[2]) % 3
+            for s in range(3)
+        ))
+
+    classes = [sorted({line(x, d) for x in points}) for d in directions]
+    return _resolvable(classes, 27, "AG(3,3) lines")
+
+
 @cache
 def verified_roster() -> tuple[MixedDesign, ...]:
     """Designs that pass coverage: MS(1, k, Q) over small alphabets, affine
-    planes, hybrids at every i, combined base systems, OA GDDs at every r."""
+    planes, hybrids at every i, combined base systems, OA GDDs at every r,
+    and hybrids over KTS(15) and the lines of AG(3, 3)."""
     designs = []
     for n in range(1, 6):
         for sizes in combinations_with_replacement((2, 3, 4), n):
@@ -118,6 +189,8 @@ def verified_roster() -> tuple[MixedDesign, ...]:
         designs += [construct_hybrid_ms(plane, classes, i) for i in range(k + 2)]
         designs.append(combine_partition(base_system(k)))
     designs += [construct_from_oa(k, r) for k in (3, 4, 5) for r in range(1, k)]
+    # hybrids over resolvable inputs other than an affine plane
+    designs += [construct_hybrid_ms(*build_kts15(), 2), construct_hybrid_ms(*build_ag33_lines(), 13)]
     # and one whose two blocks share two coordinates (distance 4 < 2k - 1)
     shared = (Codeword(((0, 1), (2, 1), (3, 1))), Codeword(((1, 1), (2, 2), (3, 2))))
     designs.append(MixedDesign(MixedAlphabet((2, 2, 3, 3)), 1, 3, shared))

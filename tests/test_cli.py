@@ -7,23 +7,29 @@ import gc
 import hashlib
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
 
+from pathlib import Path
+
 import pytest
 
+import design_forge
 from design_forge import (
     LargeSet,
     cli,
+    construct_hybrid_ms,
     design_to_json,
     largeset_to_gdd,
     largeset_to_json,
     oa_square,
     oa_to_text,
 )
-from tests.conftest import build_sum_large_set, build_toy_large_set
+from tests.conftest import build_kts15, build_sum_large_set, build_toy_large_set
 
 
 def run_cli(*args, env=None, cwd=None):
@@ -134,6 +140,19 @@ def test_hybrid_with_explicit_input_equals_default(tmp_path):
     b = run_cli("construct", "--family", "hybrid", "--k", "3", "--i", "2", "-o", str(plain))
     assert a.returncode == b.returncode == 0
     assert viato.read_bytes() == plain.read_bytes()
+
+
+def test_hybrid_reads_a_kirkman_triple_system_as_input(tmp_path):
+    kts = tmp_path / "kts15.json"
+    kts.write_text(design_to_json(*build_kts15()))
+    out = tmp_path / "hybrid.json"
+    result = run_cli("construct", "--family", "hybrid", "--k", "3", "--input", str(kts), "--i", "2", "-o", str(out))
+    assert result.returncode == 0, result.stderr
+    assert "t=2 k=3 alphabet Z2^30 x Z12: 255 blocks, min distance 3" in result.stdout
+    assert out.read_text() == design_to_json(construct_hybrid_ms(*build_kts15(), 2))
+    check = run_cli("verify", "--claim", "ms", str(out))
+    assert check.returncode == 0
+    assert json.loads(check.stdout)["stats"]["min_distance"] == 3
 
 
 def test_hybrid_input_must_agree_with_k_and_n(tmp_path):
@@ -833,3 +852,45 @@ def test_a_usage_error_leaves_the_next_call_unharmed(capsys):
     assert "required: --family" in capsys.readouterr().err
     assert cli.main(["construct", "--family", "ms1", "--alphabet", "2,2,2,2,3", "--k", "3"]) == 0
     assert capsys.readouterr().err.startswith("t=1 k=3 ")
+
+
+def _readme_tour() -> list[tuple[str, int, str | None]]:
+    """The commands of README's command-line tour: each with the exit code
+    its comments name (0 if none) and the text of its '# ->' lines, joined,
+    without the exit code, and with '...' standing for any text."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("design-forge "):
+            command, _, comment = line.partition("#")
+            commands.append([command.strip(), comment, None])
+        elif line.startswith("# -> "):
+            commands[-1][2] = line[len("# -> "):]
+        elif line.startswith("#    ") and commands and commands[-1][2] is not None:
+            commands[-1][2] += " " + line[len("#    "):]
+    tour = []
+    for command, comment, shown in commands:
+        code = re.search(r"\bexit (\d)", comment + (shown or ""))
+        if shown is not None:
+            shown = re.sub(r"; exit \d$", "", shown)
+        tour.append((command, int(code[1]) if code else 0, shown))
+    return tour
+
+
+def test_the_readme_command_line_tour_holds(tmp_path):
+    # each command in order, in one directory, as the tour runs them
+    (tmp_path / "toy_large_set.json").write_text(largeset_to_json(build_toy_large_set()))
+    src = str(Path(design_forge.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "DESIGN_FORGE_MAX_WORDS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tour = _readme_tour()
+    assert len(tour) == 18
+    assert sum(shown is not None for _, _, shown in tour) == 4
+    for command, code, shown in tour:
+        result = run_cli(*shlex.split(command)[1:], env=env, cwd=tmp_path)
+        assert result.returncode == code, (command, result.stderr)
+        if shown is not None:
+            pattern = ".*".join(map(re.escape, shown.split("...")))
+            lines = (result.stdout + result.stderr).splitlines()
+            assert any(re.fullmatch(pattern, line) for line in lines), (command, shown, lines)

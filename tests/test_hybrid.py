@@ -14,6 +14,7 @@ from design_forge import (
     NotResolvable,
     Resolution,
     construct_hybrid_ms,
+    design_from_json,
     design_to_json,
     expand_design,
     gdd_type_of,
@@ -23,6 +24,7 @@ from design_forge import (
     verify_resolution,
     verify_steiner,
 )
+from tests.conftest import build_ag33_lines, build_kts15
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -139,6 +141,28 @@ def test_hybrid_k3_family():
         report = verify_mixed_steiner(hybrid)
         assert report.ok, (i, report.counterexample)
         assert report.stats["min_distance"] == expected_distance[i]
+
+
+@pytest.mark.parametrize("build, n", [(build_kts15, 15), (build_ag33_lines, 27)], ids=["KTS(15)", "AG(3,3)"])
+def test_hybrid_on_a_resolvable_input_other_than_a_plane(build, n):
+    # every i builds, and each output verifies again from its written JSON:
+    # 295..155 blocks for KTS(15) and 963..495 for AG(3,3), 4 fewer per block
+    # of each replaced class, at distance 3 until the last class, where it
+    # is the Steiner system S(2, 3, 2n + 1)
+    design, resolution = build()
+    assert verify_steiner(design, 2, 3, n).ok
+    assert verify_resolution(design, resolution).ok
+    classes = (n - 1) // 2
+    assert len(resolution.classes) == classes
+    for i in range(classes + 1):
+        hybrid = construct_hybrid_ms(design, resolution, i)
+        assert hybrid.alphabet.sizes == (2,) * (2 * n) + (n + 1 - 2 * i,)
+        assert len(hybrid.blocks) == (2 * n + 1) * 2 * n // 6 + 4 * (n // 3) * (classes - i)
+        read, _ = design_from_json(design_to_json(hybrid))
+        report = verify_mixed_steiner(read)
+        assert report.ok, (i, report.counterexample)
+        assert report.stats["min_distance"] == (4 if i == classes else 3)
+    assert verify_steiner(read, 2, 3, 2 * n + 1).ok
 
 
 def test_hybrid_k3_full_replacement_is_steiner():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import design_forge.formats as formats
 from design_forge import (
     AlphabetMismatch,
     Codeword,
@@ -843,50 +842,41 @@ def test_oa_reader_matches_the_per_row_reference(text):
 
 
 def _oa_layouts():
-    square = oa_to_text(oa_extended(4))  # OA(2, 5, 4), 16 rows
+    # each layout with what it reads to: an array, or the error's type and text
+    extended = oa_extended(4)  # OA(2, 5, 4), 16 rows
+    square = oa_to_text(extended)
     head, *lines = square.splitlines()
     eight = oa_to_text(oa_square(8)).splitlines()
     short_long = [lines[0].rsplit(" ", 1)[0], lines[1] + " 0", *lines[2:]]
     return [
-        ("canonical", square, True),
-        ("tabs", square.replace(" ", "\t"), True),
-        ("double spaces", square.replace(" ", "  "), True),
-        ("blank lines and CRLF", "\r\n\r\n" + "\r\n\r\n".join([head, *lines]) + "\r\n", True),
-        ("digit-string rows", "\n".join([head, *(line.replace(" ", "") for line in lines)]), False),
-        ("a negative symbol", "\n".join([head, "-1" + lines[0][1:], *lines[1:]]), False),
-        ("007", "\n".join([*eight[:8], eight[8].replace("7", "007"), *eight[9:]]), True),
-        ("a 19-digit symbol", "\n".join([head, lines[0], "1" * 19 + lines[1][1:], *lines[2:]]), True),
+        ("canonical", square, extended),
+        ("tabs", square.replace(" ", "\t"), extended),
+        ("double spaces", square.replace(" ", "  "), extended),
+        ("blank lines and CRLF", "\r\n\r\n" + "\r\n\r\n".join([head, *lines]) + "\r\n", extended),
+        ("digit-string rows", "\n".join([head, *(line.replace(" ", "") for line in lines)]), extended),
+        ("a negative symbol", "\n".join([head, "-1" + lines[0][1:], *lines[1:]]),
+         ("FormatError", "row (-1, 0, 0, 0, 0) has symbols outside 0..3")),
+        ("007", "\n".join([*eight[:8], eight[8].replace("7", "007"), *eight[9:]]), oa_square(8)),
+        ("a 19-digit symbol", "\n".join([head, lines[0], "1" * 19 + lines[1][1:], *lines[2:]]),
+         ("FormatError", "row (1111111111111111111, 1, 1, 1, 0) has symbols outside 0..3")),
         # the same number of tokens as 16 rows of 5, split 4 and 6
-        ("a short row and a long row", "\n".join([head, *short_long]), False),
-        ("OA 2 100000000 2 with no rows", "OA 2 100000000 2\n", False),
+        ("a short row and a long row", "\n".join([head, *short_long]),
+         ("FormatError", "row '0 0 0 0' does not hold 5 ints")),
+        ("OA 2 100000000 2 with no rows", "OA 2 100000000 2\n", OrthogonalArray(2, 100000000, 2, ())),
     ]
 
 
-@pytest.mark.parametrize("text, whole", [c[1:] for c in _oa_layouts()], ids=[c[0] for c in _oa_layouts()])
-def test_oa_reader_reads_each_layout_as_the_per_line_loop(monkeypatch, text, whole):
-    # each layout reads to the array, or the FormatError text, of the
-    # per-line loop alone; only a text whose every row line splits into
-    # `columns` decimal tokens is read in whole-text passes, and those
-    # passes build nothing of size `columns` for a header with no rows
-    whole_text_rows = formats._oa_whole_text_rows
-    taken = []
-
-    def spied(body, columns):
-        rows = whole_text_rows(body, columns)
-        taken.append(rows is not None)
-        return rows
-
-    monkeypatch.setattr(formats, "_oa_whole_text_rows", spied)
+@pytest.mark.parametrize("text, expected", [c[1:] for c in _oa_layouts()], ids=[c[0] for c in _oa_layouts()])
+def test_oa_reader_reads_each_layout_to_its_pinned_outcome(text, expected):
+    # a header with no rows builds nothing of size `columns`
     tracemalloc.start()
     try:
         read = _read_oa(oa_from_text, text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert taken == [whole]
+    assert read == expected
     assert peak < 1_000_000
-    monkeypatch.setattr(formats, "_oa_whole_text_rows", lambda body, columns: None)
-    assert read == _read_oa(oa_from_text, text)
 
 
 def test_min_distance_survives_roundtrip():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+from math import comb
+
 import pytest
 
 from design_forge import (
@@ -269,6 +273,28 @@ def test_catalog_hole_sizes_follow_the_fold():
         assert rec.hole_size == rec.group_size * (rec.group_count - rec.t + 1)
         assert rec.k == rec.t + 1
         assert rec.points == rec.group_size * rec.group_count + rec.hole_size
+
+
+def _source_lambdas(n: int, g: int, t: int) -> list[Fraction]:
+    """λ_s of an H(n, g, t+1, t) for 0 <= s < t: the blocks through an
+    s-word, C(n-s, t-s) g^(t-s) / C(t+1-s, t-s), integers when one exists."""
+    return [Fraction(comb(n - s, t - s) * g ** (t - s), comb(t + 1 - s, t - s)) for s in range(t)]
+
+
+@pytest.mark.parametrize("ranges", [(), (range(2, 200), range(1, 30), range(1, 7))], ids=["default", "wide"])
+def test_catalog_records_rederive_from_their_source(ranges):
+    # each record's fields and its not-exists flag follow from the
+    # LH(n, g, t+1, t) its source names, by the divisibility of the λ_s
+    records = gdd_catalog(*ranges)
+    assert len(records) == (81 if not ranges else 198 * 5 + 1 + 29 * (2 + 6))
+    for rec in records:
+        n, g, k, t = map(int, re.match(r"LH\((\d+),(\d+),(\d+),(\d+)\)", rec.source).groups())
+        assert k == t + 1, rec
+        assert (rec.t, rec.k, rec.group_size, rec.group_count, rec.hole_size) == (
+            t + 1, t + 2, g, n, g * (n - t)
+        ), rec
+        integral = all(lam.denominator == 1 for lam in _source_lambdas(n, g, t))
+        assert (rec.existence == "not-exists") == (not integral), rec
 
 
 def test_catalog_ms_counterparts_all_blocked():
