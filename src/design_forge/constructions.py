@@ -547,33 +547,21 @@ def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
     """The affine plane of order q as a resolvable S(2, q, q^2): lines
     y = m*x + c over GF(q) grouped by slope m, then the vertical class.
     Point (x, y) flattens to x*q + y, so line (m, c) is {x*q + row[x]} for
-    oa_square(q)'s row (m, c).  Its C(q^2, 2) point pairs are held to the
-    word ceiling before the array is built; the output is checked at
-    distance 2(q - 2) + 1 together with its resolution."""
+    oa_square(q)'s row (m, c), and class m is blocks m*q .. m*q + q - 1.
+    Its C(q^2, 2) point pairs are held to the word ceiling before the array
+    is built; the output is checked at distance 2(q - 2) + 1 together with
+    its resolution."""
     _words_within_ceiling(((1, q * q),), 2)
-    rows = oa_square(q).rows
-    blocks: list[Codeword] = []
-    classes = []
-    for m in range(q):
-        cls = []
-        for c in range(q):
-            cls.append(len(blocks))
-            row = rows[m * q + c]
-            blocks.append(Codeword(tuple((x * q + row[x], 1) for x in range(q))))
-        classes.append(tuple(cls))
-    cls = []
-    for c in range(q):
-        cls.append(len(blocks))
-        blocks.append(Codeword(tuple((c * q + y, 1) for y in range(q))))
-    classes.append(tuple(cls))
+    lines = [tuple((x * q + row[x], 1) for x in range(q)) for row in oa_square(q).rows]
+    lines += [tuple((c * q + y, 1) for y in range(q)) for c in range(q)]
     design = MixedDesign(
         MixedAlphabet((2,) * (q * q)),
         2,
         q,
-        tuple(blocks),
+        tuple(map(Codeword, lines)),
         meta=f"affine plane order {q}",
     )
-    resolution = Resolution(tuple(classes))
+    resolution = Resolution(tuple(tuple(range(m * q, m * q + q)) for m in range(q + 1)))
     return _checked(design, 2 * (q - 2) + 1, resolution), resolution
 
 
@@ -589,12 +577,14 @@ def expand_design(design: MixedDesign, resolution: Resolution, i: int) -> Partit
     0 <= i <= its class count).  A caller who wants other classes replaced
     orders resolution.classes.
 
-    Every block X of T carries a sub-design on X x Z_{k-1}: the base system
-    of X contributes its k-1 cross-section blocks to R and its k-1 derived
-    parallel classes (merged across each class of T), while a replaced X
-    contributes the (k-1)^2 transversal blocks of an OA(2, k, k-1) to R.
-    The n column blocks {x} x Z_{k-1} form one shared class, so the result
-    has r = n - (k-1)*i classes.
+    Each block {x_0 < .. < x_{k-1}} of T maps base point c*(k-1) + j of
+    Z_k x Z_{k-1} to x_c*(k-1) + j.  Through this one map a kept block gives
+    R its base system's k-1 cross-sections and gives its k-1 derived
+    parallel classes (merged across each class of T); a replaced block gives
+    R the (k-1)^2 rows r of an OA(2, k, k-1), as base points c*(k-1) + r_c.
+    The n columns {x} x Z_{k-1} form one shared class, so the result has
+    r = n - (k-1)*i classes.  Over the one-block S(2, k, k) the map is the
+    identity, so i = 0 gives base_system(k).
 
     The base system needs GF(k) and the OA(2, k, k-1) needs GF(k-1), so k
     must be a prime power, and k-1 one too when i >= 1 (NotPrimePower,
@@ -615,39 +605,24 @@ def expand_design(design: MixedDesign, resolution: Resolution, i: int) -> Partit
     rep = verify_resolution(design, resolution)
     if not rep.ok:
         raise NotResolvable(f"input resolution fails: {rep.counterexample.detail}")
-    if len(resolution.classes) != (n - 1) // (k - 1):
-        raise NotResolvable(
-            f"{len(resolution.classes)} classes, expected {(n - 1) // (k - 1)}"
-        )
+    # a resolution of an S(2, k, n) has n/k blocks per class: (n-1)/(k-1) classes
     w = k - 1
-
-    def flat(x: int, j: int) -> int:
-        return x * w + j
-
     base = base_system(k) if i < len(resolution.classes) else None
-    replacement = oa_extended(w).rows if i else ()
+    replaced = [tuple(c * w + row[c] for c in range(k)) for row in oa_extended(w).rows] if i else ()
 
     r_blocks: list[tuple[int, ...]] = []
     classes: list[tuple[tuple[int, ...], ...]] = [
-        tuple(tuple(flat(x, j) for j in range(w)) for x in range(n))
+        tuple(tuple(range(x * w, x * w + w)) for x in range(n))
     ]
-    for cls in resolution.classes[:i]:
+    for ci, cls in enumerate(resolution.classes):
+        roots, parts = (replaced, ()) if ci < i else (base.r_blocks, base.classes[1:])
+        derived: list[list[tuple[int, ...]]] = [[] for _ in parts]
         for bi in cls:
-            x_pts = [c for c, _ in design.blocks[bi].support]
-            for row in replacement:
-                r_blocks.append(tuple(sorted(flat(x_pts[c], row[c]) for c in range(k))))
-    for cls in resolution.classes[i:]:
-        derived: list[list[tuple[int, ...]]] = [[] for _ in range(w)]
-        for bi in cls:
-            x_pts = [c for c, _ in design.blocks[bi].support]
-            for b in base.r_blocks:
-                r_blocks.append(tuple(sorted(flat(x_pts[p // w], p % w) for p in b)))
-            for a in range(1, k):
-                for b in base.classes[a]:
-                    derived[a - 1].append(
-                        tuple(sorted(flat(x_pts[p // w], p % w) for p in b))
-                    )
-        classes.extend(tuple(sub) for sub in derived)
+            points = [x * w + j for x, _ in design.blocks[bi].support for j in range(w)]
+            r_blocks.extend(tuple(sorted(map(points.__getitem__, b))) for b in roots)
+            for sub, part in zip(derived, parts):
+                sub.extend(tuple(sorted(map(points.__getitem__, b))) for b in part)
+        classes.extend(map(tuple, derived))
     return PartitionedCover(n * w, 2, k, tuple(r_blocks), tuple(classes))
 
 
@@ -827,34 +802,30 @@ def gdd_catalog(g_values=range(2, 14), h_values=range(1, 5), ell_values=range(1,
 
 def _catalog_records(g_values, h_values, ell_values):
     """gdd_catalog's records, made one at a time: five for each g, then
-    LH(14,720,4,3), then 2 + len(ell_values) for each h."""
+    LH(14,720,4,3), then 2 + len(ell_values) for each h.  Each is the fold
+    of its source LH(n, g, t+1, t): type g^n (g(n-t))^1, strength t+1,
+    block size t+2."""
+
+    def lh(n, g, t, existence="exists", condition=""):
+        source = f"LH({n},{g},{t + 1},{t}){condition}"
+        return CatalogRecord(t + 1, t + 2, g, n, g * (n - t), existence, source)
+
     for g in g_values:
         if g < 2:
             raise ValueError("g must be >= 2")
-        yield CatalogRecord(4, 5, g, 10, 7 * g, "exists", f"LH(10,{g},4,3)")
+        yield lh(10, g, 3)
         flag = "possible-exception" if g in _LS456_EXCEPTIONS else "exists"
-        yield CatalogRecord(5, 6, g, 11, 7 * g, flag, f"LH(11,{g},5,4)")
-        yield CatalogRecord(6, 7, g, 12, 7 * g, flag, f"LH(12,{g},6,5)")
-        yield CatalogRecord(
-            4, 5, g, 7, 4 * g,
-            "exists" if g % 2 == 0 else "not-exists",
-            f"LH(7,{g},4,3) iff g even",
-        )
-        yield CatalogRecord(
-            4, 5, g, 6, 3 * g,
-            "exists" if g % 3 == 0 else "not-exists",
-            f"LH(6,{g},4,3) iff 3 | g",
-        )
-    yield CatalogRecord(4, 5, 720, 14, 11 * 720, "exists", "LH(14,720,4,3)")
+        yield lh(11, g, 4, flag)
+        yield lh(12, g, 5, flag)
+        yield lh(7, g, 3, "exists" if g % 2 == 0 else "not-exists", " iff g even")
+        yield lh(6, g, 3, "exists" if g % 3 == 0 else "not-exists", " iff 3 | g")
+    yield lh(14, 720, 3)
     for h in h_values:
         if h < 1:
             raise ValueError("h must be >= 1")
-        yield CatalogRecord(4, 5, 4 * h, 5, 8 * h, "exists", f"LH(5,{4 * h},4,3)")
-        yield CatalogRecord(4, 5, 9 * h, 20, 17 * 9 * h, "exists", f"LH(20,{9 * h},4,3)")
+        yield lh(5, 4 * h, 3)
+        yield lh(20, 9 * h, 3)
         for ell in ell_values:
             if ell < 1:
                 raise ValueError("ell must be >= 1")
-            n = 5 * 2**ell
-            yield CatalogRecord(
-                4, 5, 9 * h, n, (n - 3) * 9 * h, "exists", f"LH({n},{9 * h},4,3)"
-            )
+            yield lh(5 * 2**ell, 9 * h, 3)

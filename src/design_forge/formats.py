@@ -44,7 +44,7 @@ def _is_int(value) -> bool:
 def _load(text: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past int's digit limit
         raise FormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:
         # the decoder's text names the interpreter's limit and varies by version
@@ -361,8 +361,8 @@ def oa_from_text(text: str) -> OrthogonalArray:
     `columns` tokens is read through a table of the distinct decimal tokens
     met so far: each is tested with isdecimal and read with int once, the
     first time a row holds it.  Any other row is checked on its own, and an
-    error names the first bad line.  OrthogonalArray's refusal of the
-    alphabet or a symbol is a FormatError."""
+    error, such as an int past int's digit limit, names the first bad line.
+    OrthogonalArray's refusal of the alphabet or a symbol is a FormatError."""
     lines = list(filter(None, map(str.strip, text.splitlines())))
     _require(bool(lines), "empty input")
     head = lines[0].split()
@@ -370,40 +370,44 @@ def oa_from_text(text: str) -> OrthogonalArray:
         len(head) == 4 and head[0] == "OA" and all(p.isdecimal() for p in head[1:]),
         f"header must be 'OA <strength> <columns> <alphabet>', got {lines[0]!r}",
     )
-    strength, columns, alphabet = (int(p) for p in head[1:])
     rows = []
     ints = {}
     append, read = rows.append, ints.__getitem__
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) == columns:
-            try:
-                append(tuple(map(read, parts)))
-                continue
-            except KeyError:
-                # the row's new tokens, in line order, join the table only
-                # when all are decimal; a '-' or any other token meets the
-                # checks below
-                new = dict.fromkeys(p for p in parts if p not in ints)
-                if all(map(str.isdecimal, new)):
-                    ints.update(zip(new, map(int, new)))
+    ln = lines[0]
+    try:  # every token int reads is checked decimal first, so only its digit limit fails
+        strength, columns, alphabet = (int(p) for p in head[1:])
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) == columns:
+                try:
                     append(tuple(map(read, parts)))
                     continue
-        if len(parts) == 1 and columns > 1:
-            _require(
-                alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),
-                f"row {ln!r} is not {columns} digits",
-            )
-            append(tuple(int(ch) for ch in parts[0]))
-        else:
-            _require(
-                len(parts) == columns and all(
-                    p.isdecimal() or (p.startswith("-") and p[1:].isdecimal())
-                    for p in parts
-                ),
-                f"row {ln!r} does not hold {columns} ints",
-            )
-            append(tuple(map(int, parts)))
+                except KeyError:
+                    # the row's new tokens, in line order, join the table only
+                    # when all are decimal; a '-' or any other token meets the
+                    # checks below
+                    new = dict.fromkeys(p for p in parts if p not in ints)
+                    if all(map(str.isdecimal, new)):
+                        ints.update(zip(new, map(int, new)))
+                        append(tuple(map(read, parts)))
+                        continue
+            if len(parts) == 1 and columns > 1:
+                _require(
+                    alphabet <= 10 and len(parts[0]) == columns and parts[0].isdecimal(),
+                    f"row {ln!r} is not {columns} digits",
+                )
+                append(tuple(int(ch) for ch in parts[0]))
+            else:
+                _require(
+                    len(parts) == columns and all(
+                        p.isdecimal() or (p.startswith("-") and p[1:].isdecimal())
+                        for p in parts
+                    ),
+                    f"row {ln!r} does not hold {columns} ints",
+                )
+                append(tuple(map(int, parts)))
+    except ValueError:
+        raise FormatError(f"line {ln!r} holds an int too long to read") from None
     try:
         return OrthogonalArray(strength, columns, alphabet, tuple(rows))
     except ValueError as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 from operator import attrgetter
@@ -148,16 +147,16 @@ def _pair_miscount(alphabet: MixedAlphabet, blocks, total: int):
 
 
 def _pair_masks(alphabet: MixedAlphabet, blocks, total: int):
-    """_pair_miscount by one bitmask per entry, for blocks of weight >= 2.
+    """_pair_miscount by one bitmask per entry, for blocks of one weight k >= 2.
 
     The entries (c, s) are numbered 0..P-1 in order, and entry y is bit
     P-1-y, so the entries of the coordinates after c are the low
     P - cut[c] bits.  A block's support is walked once in reverse: each
     entry x ORs the bits already passed into seen[x], then adds its own.
     seen[x] holds only words of x, so its set bits count distinct covered
-    words; the blocks accept when that count, their own pair count and
-    `total` agree.  Equal counts with fewer than `total` words leave no
-    word covered twice.  Otherwise a second pass also keeps
+    words; the B blocks accept when that count, their own pair count
+    B*C(k, 2) and `total` agree.  Equal counts with fewer than `total`
+    words leave no word covered twice.  Otherwise a second pass also keeps
     twice[x] |= seen[x] & passed.  The violator is read off the masks:
     the least c1 with a bad entry, and for each of its entries the highest
     bad bit, the least (c2, s2); the least (c2, s1) of those wins.  Only a
@@ -178,8 +177,7 @@ def _pair_masks(alphabet: MixedAlphabet, blocks, total: int):
             passed |= 1 << (top[c] - s)
         c, s = support[0]
         seen[off[c] + s] |= passed
-    widths = Counter(map(len, map(attrgetter("support"), blocks)))
-    pairs = sum(m * (w * (w - 1) // 2) for w, m in widths.items())
+    pairs = len(blocks) * math.comb(len(blocks[0].support), 2)
     covered = sum(map(int.bit_count, seen))
     if covered == pairs == total:
         return None

@@ -486,6 +486,31 @@ def test_verify_refuses_a_long_symbol_exits_2(tmp_path, digits):
         assert result.stderr == "error: symbol 1111111111111111111 out of range at coordinate 1 (size 3)\n"
 
 
+_LONG = "1" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int has no digit limit")
+@pytest.mark.parametrize(
+    "claim, text, err",
+    [
+        ("gdd", '{"alphabet":[3,3],"t":1,"k":2,"blocks":[[[0,1],[1,%s]]]}' % _LONG,
+         "error: not valid JSON: Exceeds the limit (4300"),
+        ("largeset", '{"alphabet":[2,2,2],"t":1,"k":1,"lambda":1,"copies":[[[[0,%s]]]]}' % _LONG,
+         "error: not valid JSON: Exceeds the limit (4300"),
+        ("oa", f"OA 1 2 {_LONG}\n0 0\n", f"error: line 'OA 1 2 {_LONG}' holds an int too long to read\n"),
+        ("oa", f"OA 1 2 3\n{_LONG} 0\n", f"error: line '{_LONG} 0' holds an int too long to read\n"),
+    ],
+    ids=["design json", "large-set json", "oa header", "oa row"],
+)
+def test_verify_reports_an_int_past_the_digit_limit_as_a_format_error(tmp_path, claim, text, err):
+    path = tmp_path / "input"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "4300"}
+    result = run_cli("verify", "--claim", claim, str(path), env=env)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(err)
+
+
 @pytest.mark.parametrize(
     "command, checker",
     [

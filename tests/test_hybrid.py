@@ -13,6 +13,7 @@ from design_forge import (
     NotPrimePower,
     NotResolvable,
     Resolution,
+    base_system,
     construct_hybrid_ms,
     design_from_json,
     design_to_json,
@@ -126,8 +127,20 @@ def test_expand_design_rejects_wrong_class_count():
     merged = Resolution(
         (resolution.classes[0] + resolution.classes[1],) + resolution.classes[2:]
     )
-    with pytest.raises(NotResolvable):
+    # the resolution check refuses a merged class before any class count:
+    # once T and its resolution pass, the class count follows
+    with pytest.raises(
+        NotResolvable, match=r"^input resolution fails: coordinate 0 appears 2 times in class 0$"
+    ):
         expand_design(design, merged, 0)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 7, 8, 9])
+def test_expand_design_over_one_block_is_the_base_system(k):
+    # the one-block S(2, k, k) maps the base points through the identity
+    block = Codeword(tuple((c, 1) for c in range(k)))
+    design = MixedDesign(MixedAlphabet((2,) * k), 2, k, (block,))
+    assert expand_design(design, Resolution(((0,),)), 0) == base_system(k)
 
 
 def test_hybrid_k3_family():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -777,6 +778,52 @@ def test_oa_text_errors():
         oa_from_text("OA 2 3 3\n0 0")  # not enough ints
     with pytest.raises(FormatError):
         oa_from_text("OA 2 3 3\n0 0 7")  # symbol out of range
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int has no digit limit"
+)
+
+
+@pytest.fixture
+def long_int():
+    """A decimal of 5000 digits, past int's default limit of 4300."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield "1" * 5000
+    sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
+def test_design_json_refuses_an_int_past_the_digit_limit(long_int):
+    for text in (
+        '{"alphabet":[2,%s],"t":1,"k":2,"blocks":[[[0,1],[1,1]]]}' % long_int,
+        '{"alphabet":[2,3],"t":1,"k":2,"blocks":[[[0,1],[1,%s]]]}' % long_int,
+    ):
+        with pytest.raises(FormatError, match=r"^not valid JSON: Exceeds the limit \(4300"):
+            design_from_json(text)
+
+
+@needs_digit_limit
+def test_largeset_json_refuses_an_int_past_the_digit_limit(long_int):
+    for text in (
+        '{"alphabet":[2,2,%s],"t":1,"k":1,"lambda":1,"copies":[[[[0,1]]]]}' % long_int,
+        '{"alphabet":[2,2,2],"t":1,"k":1,"lambda":1,"copies":[[[[0,%s]]]]}' % long_int,
+    ):
+        with pytest.raises(FormatError, match=r"^not valid JSON: Exceeds the limit \(4300"):
+            largeset_from_json(text)
+
+
+@needs_digit_limit
+def test_oa_text_names_the_line_of_an_int_past_the_digit_limit(long_int):
+    for text, message in [
+        (f"OA 1 2 {long_int}\n0 0\n", f"line 'OA 1 2 {long_int}'"),
+        (f"OA 1 2 3\n0 1\n{long_int} 0\n", f"line '{long_int} 0'"),  # a new token
+        (f"OA 1 2 3\n0 1\n-{long_int} 0\n", f"line '-{long_int} 0'"),  # a signed one
+    ]:
+        with pytest.raises(FormatError) as info:
+            oa_from_text(text)
+        assert str(info.value) == message + " holds an int too long to read"
 
 
 def _reference_oa_from_text(text: str) -> OrthogonalArray:
