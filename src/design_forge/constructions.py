@@ -13,6 +13,8 @@ Conventions shared by every construction here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 from .core import (
     Codeword,
@@ -157,18 +159,18 @@ def ms1_construct(sizes, k: int) -> MixedDesign:
     elif blocks is None:
         blocks, how = _ms1_search(d, k), "search"
     used = [0] * len(q)
-    words = []
+    supports = []
     for block in blocks:
         support = []
         for i in block:
             used[i] += 1
             support.append((i, used[i]))
-        words.append(Codeword(tuple(support)))
+        supports.append(tuple(support))
     design = MixedDesign(
         MixedAlphabet(tuple(q)),
         1,
         k,
-        tuple(words),
+        _valid_codewords(supports),
         meta=f"ms1 k={k} {how} over sorted sizes",
     )
     return _checked(design, 2 * k - 1)
@@ -204,17 +206,17 @@ def _ms1_bound(d, k: int):
       is the least failing s."""
     n = len(d)
     b = sum(d) // k
-    lhs = sum(x * (x - 1) // 2 for x in d)
+    lhs = (sum(map(mul, d, d)) - k * b) // 2  # sum(d) = kB
     if lhs > b * (b - 1) // 2:
         return "block-pairs", None, (
             f"sum of C(q_i - 1, 2) = {lhs} > C(B, 2) = {b * (b - 1) // 2} with B = {b} blocks"
         )
     a = [x * (k - 1) for x in reversed(d)]
-    suffix = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + a[j]
+    suffix = [*accumulate(reversed(a), initial=0)][::-1]  # suffix[j] = sum(a[j:])
     above = n  # a[j] > r exactly for j < above
     for r in range(1, n + 1):
+        if a[r - 1] < r:  # from here sum_{j<=r} a_j - rhs changes by 2(a_r - r + 1) <= 0
+            break
         while above and a[above - 1] <= r:
             above -= 1
         rhs = r * (r - 1) + r * max(0, above - r) + suffix[max(above, r)]
@@ -225,6 +227,8 @@ def _ms1_bound(d, k: int):
             )
     top = 0
     for s in range(1, n + 1):
+        if d[n - s] < s:  # from here top - C(s, 2) changes by d[n - s] - (s - 1) <= 0
+            break
         top += d[n - s]
         if top - s * (s - 1) // 2 > b:
             return "top-set", s, (
@@ -237,15 +241,14 @@ def _ms1_bound(d, k: int):
 def _ms1_greedy(d, k: int):
     """The greedy's blocks as sorted lists of coordinates, or None as soon
     as a block would share two coordinates with an earlier one."""
-    n = len(d)
-    remaining = list(d)
-    adj = [0] * n  # adj[i]: coordinates already in a block with i
+    adj = [0] * len(d)  # adj[i]: coordinates already in a block with i
+    order = sorted(zip(d, range(len(d))))  # (symbols left, coordinate), ascending
     blocks = []
     for _ in range(sum(d) // k):
-        top = sorted(zip(remaining, range(n)))[-k:]
+        top = order[-k:]
         if top[0][0] == 0:
             return None
-        block = sorted(i for _, i in top)
+        block = sorted([i for _, i in top])
         mask = 0
         for i in block:
             mask |= 1 << i
@@ -253,7 +256,8 @@ def _ms1_greedy(d, k: int):
             if adj[i] & mask:
                 return None
             adj[i] |= mask ^ 1 << i
-            remaining[i] -= 1
+        order[-k:] = [(r - 1, i) for r, i in top]
+        order.sort()
         blocks.append(block)
     return blocks
 
@@ -262,18 +266,14 @@ def _ms1_graph(d):
     """At k = 2 the blocks are the edges of a simple graph with degrees d,
     which Havel-Hakimi builds whenever the pair-degrees bound holds: join a
     coordinate with the most symbols left to the next ones in that order."""
-    n = len(d)
-    remaining = list(d)
+    order = sorted(zip([-x for x in d], range(len(d))))  # (-symbols left, coordinate)
     edges = []
-    while True:
-        order = sorted(range(n), key=remaining.__getitem__, reverse=True)
-        v = order[0]
-        r, remaining[v] = remaining[v], 0
-        if not r:
-            return sorted(edges)
-        for u in order[1: r + 1]:
-            remaining[u] -= 1
-            edges.append((min(u, v), max(u, v)))
+    while order and order[0][0]:
+        r, v = order.pop(0)  # v has -r symbols left: join it to the next -r
+        order[:-r] = [(s + 1, u) for s, u in order[:-r]]
+        edges += [(u, v) if u < v else (v, u) for _, u in order[:-r]]
+        order.sort()
+    return sorted(edges)
 
 
 def _ms1_search(d, k: int):

@@ -31,10 +31,9 @@ class Codeword:
         """The check of a support's entries on every direct call: 2-item
         lists or tuples of int (not bool), distinct coordinates >= 0 and
         symbols >= 1, kept sorted whatever order a caller passes them in.
-        Only supports already known to pass it skip it, through
-        _valid_codewords: compact block lists the readers read in
-        whole-text passes, and the blocks the large-set fold and slice
-        derive from checked blocks."""
+        Supports known to pass it skip it through _valid_codewords: the
+        readers' compact block lists, the large-set fold and slice, and
+        ms1_construct, whose routes sort each block's distinct coordinates."""
         pairs = []
         for p in self.support:
             if not (isinstance(p, (tuple, list)) and len(p) == 2
@@ -72,7 +71,8 @@ def _valid_codewords(supports: list) -> tuple[Codeword, ...]:
     """Codewords of supports that already pass Codeword's check as they
     stand: tuples of sorted (c, s) int pairs with distinct coordinates
     >= 0 and symbols >= 1.  __post_init__ is not run, so a caller uses this
-    only where its own checks or the blocks it derives from establish that."""
+    only where its own checks or the blocks it derives from establish that,
+    as ms1_construct's do: sorted distinct coordinates, symbols counted from 1."""
     words = list(map(object.__new__, repeat(Codeword, len(supports))))
     list(map(object.__setattr__, words, repeat("support"), supports))
     return tuple(words)

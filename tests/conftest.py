@@ -171,6 +171,31 @@ def build_ag33_lines() -> tuple[MixedDesign, Resolution]:
 
 
 @cache
+def build_ag34_lines() -> tuple[MixedDesign, Resolution]:
+    """The 336 lines of the affine space AG(3, 4), a resolvable
+    S(2, 4, 64): GF(4) is {0, 1, w, w^2} written 0, 1, 2, 3, where addition
+    is XOR and w^a * w^b = w^(a+b mod 3); point (x, y, z) of GF(4)^3 is
+    16x + 4y + z, and each of the 21 directions (first nonzero entry 1)
+    gives a parallel class of 16 lines."""
+    log = {1: 0, 2: 1, 3: 2}
+
+    def mul(a: int, b: int) -> int:
+        return a and b and (1, 2, 3)[(log[a] + log[b]) % 3]
+
+    points = list(product(range(4), repeat=3))
+    directions = [d for d in points if next(filter(None, d), 0) == 1]
+
+    def line(x, d) -> tuple[int, ...]:
+        return tuple(sorted(
+            16 * (x[0] ^ mul(s, d[0])) + 4 * (x[1] ^ mul(s, d[1])) + (x[2] ^ mul(s, d[2]))
+            for s in range(4)
+        ))
+
+    classes = [sorted({line(x, d) for x in points}) for d in directions]
+    return _resolvable(classes, 64, "AG(3,4) lines")
+
+
+@cache
 def verified_roster() -> tuple[MixedDesign, ...]:
     """Designs that pass coverage: MS(1, k, Q) over small alphabets, affine
     planes, hybrids at every i, combined base systems, OA GDDs at every r,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement
 
 import pytest
@@ -336,6 +338,81 @@ def test_ms1_search_outputs_on_the_criterion_5_grid_are_pinned():
     assert digest.hexdigest() == (
         "274c9890961c271c6a4b98b5fe2ebe6f1b9e9b49b43689d8b9ebc0a962d940e2"
     )
+
+
+@cache
+def _criterion_5_builds():
+    """(route, the route's blocks, the design) for each alphabet of the
+    criterion-5 grid that ms1_construct builds, in grid order, with the
+    route chosen as ms1_construct chooses it."""
+    builds = []
+    for n in range(1, 11):
+        for sizes in combinations_with_replacement(range(2, 7), n):
+            for k in range(2, 6):
+                d = [q - 1 for q in sizes]
+                if not ms1_feasible(sizes, k).feasible or constructions._ms1_bound(d, k):
+                    continue
+                blocks, route = constructions._ms1_greedy(d, k), "greedy"
+                if blocks is None and k == 2:
+                    blocks, route = constructions._ms1_graph(d), "havel-hakimi"
+                elif blocks is None:
+                    blocks, route = constructions._ms1_search(d, k), "search"
+                builds.append((route, blocks, ms1_construct(sizes, k)))
+    return builds
+
+
+@pytest.mark.parametrize(
+    "route, built, expected",
+    [
+        ("greedy", 55, "baa0067a9aeac76a18c638f8fccbb05cfef5d883de3171ac35e3c86da023ab24"),
+        ("havel-hakimi", 1296, "bda288152cb5a983e2d6563d2c65a251908cdfce8f01451ee8e6c10a16814ea6"),
+    ],
+)
+def test_ms1_greedy_and_havel_hakimi_outputs_on_the_criterion_5_grid_are_pinned(
+    route, built, expected
+):
+    digest = hashlib.sha256()
+    designs = [design for how, _, design in _criterion_5_builds() if how == route]
+    for design in designs:
+        assert design.meta == f"ms1 k={design.k} {route} over sorted sizes"
+        digest.update(design_to_json(design).encode())
+    assert len(designs) == built
+    assert digest.hexdigest() == expected
+
+
+def test_ms1_routes_return_blocks_that_codeword_would_accept_as_they_stand():
+    # ms1_construct skips Codeword's check of each block: every route's
+    # block is sorted with distinct coordinates, and every support it makes
+    # is the one Codeword's check would have made
+    routes = Counter()
+    for route, blocks, design in _criterion_5_builds():
+        routes[route] += 1
+        assert design.meta.split()[2] == route
+        assert all(list(block) == sorted(set(block)) for block in blocks)
+        assert [b.support for b in design.blocks] == [Codeword(b.support).support for b in design.blocks]
+    assert routes == {"greedy": 55, "havel-hakimi": 1296, "search": 128}
+
+
+@pytest.mark.parametrize(
+    "route, sizes, k, blocks",
+    [
+        ("_ms1_greedy", (2, 2, 3, 3), 2, [[2, 3], [2, 3], [0, 1]]),
+        ("_ms1_graph", (2, 2, 3, 3), 2, [(2, 3), (2, 3), (0, 1)]),
+        ("_ms1_search", (2, 2, 2, 3, 3, 3), 3, [(0, 3, 4), (1, 2, 5), (3, 4, 5)]),
+    ],
+)
+def test_ms1_construct_refuses_a_route_whose_blocks_share_two_coordinates(
+    monkeypatch, route, sizes, k, blocks
+):
+    # each coordinate still lies in q_i - 1 blocks, so coverage passes and
+    # only the distance check of the output stands between it and a design:
+    # two blocks sharing exactly two coordinates are at distance 2k - 2
+    monkeypatch.setattr(constructions, route, lambda *args: blocks)
+    with pytest.raises(ConstructionFailed) as err:
+        ms1_construct(sizes, k)
+    assert not isinstance(err.value, NoSuchSystem)
+    assert err.value.report.counterexample.kind == "distance"
+    assert err.value.report.counterexample.distance == 2 * k - 2
 
 
 # ------------------------------------------------------------- OA designs

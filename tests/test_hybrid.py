@@ -25,7 +25,7 @@ from design_forge import (
     verify_resolution,
     verify_steiner,
 )
-from tests.conftest import build_ag33_lines, build_kts15
+from tests.conftest import build_ag33_lines, build_ag34_lines, build_kts15
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -156,26 +156,34 @@ def test_hybrid_k3_family():
         assert report.stats["min_distance"] == expected_distance[i]
 
 
-@pytest.mark.parametrize("build, n", [(build_kts15, 15), (build_ag33_lines, 27)], ids=["KTS(15)", "AG(3,3)"])
-def test_hybrid_on_a_resolvable_input_other_than_a_plane(build, n):
-    # every i builds, and each output verifies again from its written JSON:
-    # 295..155 blocks for KTS(15) and 963..495 for AG(3,3), 4 fewer per block
-    # of each replaced class, at distance 3 until the last class, where it
-    # is the Steiner system S(2, 3, 2n + 1)
+@pytest.mark.parametrize(
+    "build, n, k",
+    [(build_kts15, 15, 3), (build_ag33_lines, 27, 3), (build_ag34_lines, 64, 4)],
+    ids=["KTS(15)", "AG(3,3)", "AG(3,4)"],
+)
+def test_hybrid_on_a_resolvable_input_other_than_a_plane(build, n, k):
+    # every i builds, and each output verifies again from its written JSON.
+    # Over N = n(k - 1) binary coordinates and one of r + 1 symbols, with
+    # r = n - (k - 1)i classes left, every block holds C(k, 2) of the
+    # C(N, 2) + N*r weight-2 words: 295..155 blocks for KTS(15), 963..495
+    # for AG(3,3) and 5104..3088 for AG(3,4).  The distance is 2k - 3 until
+    # the last class, where the output is the Steiner system S(2, k, N + 1)
     design, resolution = build()
-    assert verify_steiner(design, 2, 3, n).ok
+    assert verify_steiner(design, 2, k, n).ok
     assert verify_resolution(design, resolution).ok
-    classes = (n - 1) // 2
+    classes = (n - 1) // (k - 1)
     assert len(resolution.classes) == classes
+    binary = n * (k - 1)
     for i in range(classes + 1):
         hybrid = construct_hybrid_ms(design, resolution, i)
-        assert hybrid.alphabet.sizes == (2,) * (2 * n) + (n + 1 - 2 * i,)
-        assert len(hybrid.blocks) == (2 * n + 1) * 2 * n // 6 + 4 * (n // 3) * (classes - i)
+        r = n - (k - 1) * i
+        assert hybrid.alphabet.sizes == (2,) * binary + (r + 1,)
+        assert len(hybrid.blocks) == (binary * (binary - 1) // 2 + binary * r) // (k * (k - 1) // 2)
         read, _ = design_from_json(design_to_json(hybrid))
         report = verify_mixed_steiner(read)
         assert report.ok, (i, report.counterexample)
-        assert report.stats["min_distance"] == (4 if i == classes else 3)
-    assert verify_steiner(read, 2, 3, 2 * n + 1).ok
+        assert report.stats["min_distance"] == (2 * k - 2 if i == classes else 2 * k - 3)
+    assert verify_steiner(read, 2, k, binary + 1).ok
 
 
 def test_hybrid_k3_full_replacement_is_steiner():
