@@ -13,7 +13,8 @@ Examples:
 `construct` writes canonical design JSON (to --output, else stdout) and
 prints a one-line summary with the parameters, block count, and minimum
 distance.  `verify` prints a report as JSON and its exit code is the
-verdict.  Exit codes: 0 = constructed/verified OK, 1 = a verification ran
+verdict; `--t` (also spelled `--strength`) checks at that strength instead
+of the file's, and when both spellings are given the last one wins.  Exit codes: 0 = constructed/verified OK, 1 = a verification ran
 and failed, 2 = bad input or infeasible parameters, 3 = unexpected error.
 """
 
@@ -24,11 +25,13 @@ import functools
 import gc
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from .constructions import (
     CatalogRecord,
     PartitionedCover,
+    _catalog_count,
     _catalog_records,
     base_system,
     combine_partition,
@@ -40,7 +43,7 @@ from .constructions import (
     resolvable_affine,
     validate_cover,
 )
-from .core import LargeSet, MixedDesign
+from .core import MixedDesign
 from .errors import DesignForgeError, FormatError, LargeSetInvalid
 from .formats import (
     cover_to_json,
@@ -54,8 +57,6 @@ from .formats import (
 )
 from .oa import oa_extended, oa_square, oa_sum, verify_oa
 from .verify import (
-    _within_ceiling,
-    _word_ceiling,
     ms_bound_check,
     verify_gdd,
     verify_large_set,
@@ -106,33 +107,53 @@ def _cover_summary(cover: PartitionedCover) -> str:
     )
 
 
+def _write_report(output: str | None, parts) -> None:
+    """Write the strings `parts` to the file `output`, else to stdout, each
+    as it comes."""
+    if output:
+        with open(output, "w") as out:
+            out.writelines(parts)
+    else:
+        sys.stdout.writelines(parts)
+
+
 def _emit(output: str | None, text: str, summary: str) -> None:
     """Write the artifact; keep stdout machine-readable when it carries it."""
-    if output:
-        Path(output).write_text(text)
-        print(summary)
-    else:
-        sys.stdout.write(text)
-        print(summary, file=sys.stderr)
+    _write_report(output, [text])
+    print(summary, file=sys.stdout if output else sys.stderr)
 
 
 def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+# the arguments each construct family and each oa kind needs
+_NEEDS = {
+    "ms1": ("alphabet", "k"),
+    "oa-gdd": ("k", "r"),
+    "base": ("k",),
+    "affine": ("q",),
+    "hybrid": ("k",),
+    "square": ("q",),
+    "extended": ("q",),
+    "sum": ("t", "k"),
+}
+
+
+def _require(what: str, args: argparse.Namespace) -> None:
+    needs = _NEEDS[what]
+    if any(getattr(args, name) is None for name in needs):
+        raise ValueError(f"{what} needs " + " and ".join(f"--{name}" for name in needs))
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     family = args.family
+    _require(family, args)
     if family == "ms1":
-        if args.alphabet is None or args.k is None:
-            raise ValueError("ms1 needs --alphabet and --k")
         design = ms1_construct(_parse_sizes(args.alphabet), args.k)
     elif family == "oa-gdd":
-        if args.k is None or args.r is None:
-            raise ValueError("oa-gdd needs --k and --r")
         design = construct_from_oa(args.k, args.r)
     elif family == "base":
-        if args.k is None:
-            raise ValueError("base needs --k")
         cover = base_system(args.k)
         if args.as_cover:
             validate_cover(cover)
@@ -140,14 +161,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
             return 0
         design = combine_partition(cover)
     elif family == "affine":
-        if args.q is None:
-            raise ValueError("affine needs --q")
         design, resolution = resolvable_affine(args.q)
         _emit(args.output, design_to_json(design, resolution), _summary(design))
         return 0
     else:  # hybrid
-        if args.k is None:
-            raise ValueError("hybrid needs --k")
         if args.input:
             base, resolution = design_from_json(_read(args.input))
             if resolution is None:
@@ -176,23 +193,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # parsed and not held while the check runs
     if args.claim == "oa":
         array = oa_from_text(_read(args.file))
-        strength = array.strength
-        if args.strength is not None:
-            strength = args.strength
-        elif args.t is not None:
-            strength = args.t
+        strength = array.strength if args.t is None else args.t
         report = verify_oa(array, strength, max_words=args.max_words)
     elif args.claim == "largeset":
-        ls = largeset_from_json(_read(args.file))
-        if args.t is not None and args.t != ls.t:
-            ls = LargeSet(ls.alphabet, args.t, ls.k, ls.copies, lam=ls.lam)
+        ls = _at_strength(largeset_from_json(_read(args.file)), args.t)
         report = verify_large_set(ls, max_words=args.max_words)
     else:
         design, resolution = design_from_json(_read(args.file))
-        if args.t is not None and args.t != design.t:
-            design = MixedDesign(
-                design.alphabet, args.t, design.k, design.blocks, meta=design.meta
-            )
+        design = _at_strength(design, args.t)
         if args.claim == "ms":
             report = verify_mixed_steiner(design, max_words=args.max_words)
         elif args.claim == "gdd":
@@ -205,15 +213,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if resolution is None:
                 raise FormatError("design JSON lacks classes")
             report = verify_resolution(design, resolution)
-    _write_report(args.output, report_to_json(report))
+    _write_report(args.output, [report_to_json(report)])
     return 0 if report.ok else 1
 
 
-def _write_report(output: str | None, text: str) -> None:
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _at_strength(claimed, t: int | None):
+    """The design or large set as read, or at strength t when t is given;
+    the copy runs the same __post_init__ checks as a read."""
+    return claimed if t is None or t == claimed.t else replace(claimed, t=t)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -223,37 +230,26 @@ def cmd_transform(args: argparse.Namespace) -> int:
     else:
         design, _ = design_from_json(_read(args.file))
         out = largeset_to_json(gdd_to_largeset(design, args.hole))
-    _write_report(args.output, out)
+    _write_report(args.output, [out])
     return 0
 
 
 def cmd_oa(args: argparse.Namespace) -> int:
-    if args.kind in ("square", "extended"):
-        if args.q is None:
-            raise ValueError(f"{args.kind} needs --q")
-        array = oa_square(args.q) if args.kind == "square" else oa_extended(args.q)
-    else:  # sum
-        if args.t is None or args.k is None:
-            raise ValueError("sum needs --t and --k")
+    _require(args.kind, args)
+    if args.kind == "sum":
         array = oa_sum(args.t, args.k)
-    _write_report(args.output, oa_to_text(array))
+    else:
+        array = (oa_square if args.kind == "square" else oa_extended)(args.q)
+    _write_report(args.output, [oa_to_text(array)])
     return 0
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    g_values = range(2, args.g_max + 1)
-    h_values = range(1, args.h_max + 1)
-    ell_values = range(1, args.ell_max + 1)
-    # the records gdd_catalog makes, counted before any is made; below the
-    # ceiling each line is written as its record is made
-    count = 5 * len(g_values) + 1 + len(h_values) * (2 + len(ell_values))
-    _within_ceiling(count, "catalog records", _word_ceiling(None))
-    lines = map(_catalog_line, _catalog_records(g_values, h_values, ell_values))
-    if args.output:
-        with open(args.output, "w") as out:
-            out.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+    ranges = range(2, args.g_max + 1), range(1, args.h_max + 1), range(1, args.ell_max + 1)
+    # counted before any record is made; below the ceiling each line is
+    # written as its record is made
+    _catalog_count(*ranges)
+    _write_report(args.output, map(_catalog_line, _catalog_records(*ranges)))
     return 0
 
 
@@ -304,8 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["ms", "gdd", "steiner", "oa", "resolution", "largeset"],
         help="what property the input claims",
     )
-    v.add_argument("--t", type=int, help="verify at this strength instead of the file's")
-    v.add_argument("--strength", type=int, help="override the OA header strength")
+    v.add_argument(
+        "--t", "--strength", dest="t", type=int, help="verify at this strength instead of the file's"
+    )
     v.add_argument(
         "--max-words",
         type=_nonnegative_int,

@@ -800,6 +800,13 @@ def gdd_catalog(g_values=range(2, 14), h_values=range(1, 5), ell_values=range(1,
     return list(_catalog_records(g_values, h_values, ell_values))
 
 
+def _catalog_count(g_values, h_values, ell_values) -> int:
+    """The number of records _catalog_records makes, held to the word
+    ceiling before any is made."""
+    count = 5 * len(g_values) + 1 + len(h_values) * (2 + len(ell_values))
+    return _within_ceiling(count, "catalog records", _word_ceiling(None))
+
+
 def _catalog_records(g_values, h_values, ell_values):
     """gdd_catalog's records, made one at a time: five for each g, then
     LH(14,720,4,3), then 2 + len(ell_values) for each h.  Each is the fold

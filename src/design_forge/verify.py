@@ -6,9 +6,10 @@ that can be re-checked independently (a word with its true cover count, a
 block pair with its distance, or a coordinate/class pair for resolutions).
 The word enumeration is guarded by a ceiling (default 10**8 words,
 overridable per call or via DESIGN_FORGE_MAX_WORDS); weight-2 coverage is
-counted in one bit per word plus one int per (coordinate, symbol) entry, or
+packed in one bit per word plus one int per (coordinate, symbol) entry, or
 in one byte per word on an alphabet too wide for bitmasks, so that ceiling
-also bounds its memory.  The mixed Steiner distance pass, run only where
+also bounds its memory, and one rule reads the first violator from either
+packing.  The mixed Steiner distance pass, run only where
 counting cannot settle the distance, is guarded by the same ceiling on
 block pairs.
 """
@@ -135,36 +136,59 @@ _MASK_ENTRIES_PER_K = 4096
 
 def _pair_miscount(alphabet: MixedAlphabet, blocks, total: int):
     """first_miscount of the blocks' weight-2 subwords against the `total`
-    weight-2 words, without a walk.  A block costs k big-int ORs under
-    _pair_masks and C(k, 2) byte increments under _pair_bytes.  An OR costs
-    time in proportion to its width, up to P = sum(q_i - 1) bits, so masks
-    serve while P <= 4096 (k - 1) and bytes above, where an alphabet with
-    one wide coordinate would make masks quadratic."""
+    weight-2 words, without a walk.
+
+    The entries (c, s) are numbered 0..P-1 in order: entry (c, s) is
+    off[c] + s, and coordinate c's entries end at cut[c].  The words are
+    packed by _pair_masks, k big-int ORs per block, or by _pair_bytes,
+    C(k, 2) byte increments per block.  An OR costs time in proportion to
+    its width, up to P bits, so masks serve while P <= 4096 (k - 1) and
+    bytes above, where an alphabet with one wide coordinate would make
+    masks quadratic.
+
+    Either packing returns None on accept, else a reader (bad, count):
+    bad(x, end) is the least entry y >= end whose word with entry x is not
+    covered exactly once, or -1, and count(x, y) is that word's count, or
+    None where the packing cannot hold it.  The violator is read in the
+    contract's (c1, c2, s1, s2) order: the least c1 with a bad entry, then
+    over its entries, in s1 order, each entry's least bad y, keeping the
+    least c2 (a tie keeps the lower s1).  A count the packing cannot hold
+    is recounted over the blocks."""
+    sizes = alphabet.sizes
+    cut = list(accumulate(q - 1 for q in sizes))
+    off = [e - q for e, q in zip(cut, sizes)]
     k = len(blocks[0].support) if blocks else 0
-    if sum(alphabet.sizes) - alphabet.n <= _MASK_ENTRIES_PER_K * (k - 1):
-        return _pair_masks(alphabet, blocks, total)
-    return _pair_bytes(alphabet, blocks, total)
+    pack = _pair_masks if cut[-1] <= _MASK_ENTRIES_PER_K * (k - 1) else _pair_bytes
+    reader = pack(sizes, cut, off, blocks, total)
+    if reader is None:
+        return None
+    bad, count = reader
+    for c1, end in enumerate(cut):
+        hits = [(x, y) for x in range(off[c1] + 1, end) if (y := bad(x, end)) >= 0]
+        if hits:
+            break
+    x, y = min(hits, key=lambda hit: (bisect_right(cut, hit[1]), hit[0]))
+    c2 = bisect_right(cut, y)
+    u, v = (c1, x - off[c1]), (c2, y - off[c2])
+    n = count(x, y)
+    if n is None:
+        n = sum(u in b.support and v in b.support for b in blocks)
+    return (u, v), n
 
 
-def _pair_masks(alphabet: MixedAlphabet, blocks, total: int):
-    """_pair_miscount by one bitmask per entry, for blocks of one weight k >= 2.
+def _pair_masks(sizes, cut, off, blocks, total: int):
+    """_pair_miscount's packing by one bitmask per entry, for blocks of one
+    weight k >= 2.
 
-    The entries (c, s) are numbered 0..P-1 in order, and entry y is bit
-    P-1-y, so the entries of the coordinates after c are the low
-    P - cut[c] bits.  A block's support is walked once in reverse: each
+    Entry y is bit P-1-y, so the entries of the coordinates after c are the
+    low P - cut[c] bits.  A block's support is walked once in reverse: each
     entry x ORs the bits already passed into seen[x], then adds its own.
     seen[x] holds only words of x, so its set bits count distinct covered
     words; the B blocks accept when that count, their own pair count
     B*C(k, 2) and `total` agree.  Equal counts with fewer than `total`
     words leave no word covered twice.  Otherwise a second pass also keeps
-    twice[x] |= seen[x] & passed.  The violator is read off the masks:
-    the least c1 with a bad entry, and for each of its entries the highest
-    bad bit, the least (c2, s2); the least (c2, s1) of those wins.  Only a
-    word covered twice is recounted over the blocks."""
-    sizes = alphabet.sizes
-    cut = list(accumulate(q - 1 for q in sizes))  # the entries of coordinates <= c
+    twice[x] |= seen[x] & passed, and a word met twice has no count here."""
     p = cut[-1]
-    off = [e - q for e, q in zip(cut, sizes)]  # entry (c, s) is off[c] + s
     top = [p - 1 - o for o in off]  # entry (c, s) is bit top[c] - s
     seen = [0] * p
     for b in blocks:
@@ -192,43 +216,31 @@ def _pair_masks(alphabet: MixedAlphabet, blocks, total: int):
                 twice[x] |= m & passed
                 seen[x] = m | passed
                 passed |= 1 << (top[c] - s)
-    for c1, end in enumerate(cut):
-        full = (1 << (p - end)) - 1
-        best = None
-        for x in range(end - sizes[c1] + 1, end):
-            bad = (full ^ seen[x]) | twice[x]
-            if bad:
-                y = p - bad.bit_length()
-                c2 = bisect_right(cut, y)
-                if best is None or c2 < best[0]:
-                    best = c2, x, y
-        if best is not None:
-            break
-    c2, x, y = best
-    u, v = (c1, x - off[c1]), (c2, y - off[c2])
-    if twice[x] >> (p - 1 - y) & 1:
-        return (u, v), sum(u in b.support and v in b.support for b in blocks)
-    return (u, v), 0
+
+    # the reader takes its tables as defaults, not as closure cells, which
+    # would slow every read of them in the loops above
+    def bad(x, end, p=p, seen=seen, twice=twice):
+        m = (((1 << (p - end)) - 1) ^ seen[x]) | twice[x]
+        return p - m.bit_length() if m else -1
+
+    def count(x, y, p=p, twice=twice):
+        return None if twice[x] >> (p - 1 - y) & 1 else 0
+
+    return bad, count
 
 
 # a slot's byte -> 0 when its word is covered exactly once, else 1
 _MISCOUNT = bytes([1, 0] + [1] * 254)
 
 
-def _pair_bytes(alphabet: MixedAlphabet, blocks, total: int):
-    """_pair_miscount in one byte per word.
+def _pair_bytes(sizes, cut, off, blocks, total: int):
+    """_pair_miscount's packing in one byte per word.
 
-    The entries (c, s) are numbered 0..P-1 in order; entry x owns a row of
-    one slot per entry y of a later coordinate, slot row[x] + y, so there
-    are exactly `total` slots, in (c1, s1, c2, s2) order.  A byte stays at
-    255 once there.  The first bad slot fixes c1, the least coordinate of a
-    violator; the contract's order is (c1, c2, s1, s2), so each later row
-    of that coordinate is searched only below the best c2 so far.  A
-    saturated count is recounted over the blocks."""
-    sizes = alphabet.sizes
-    cut = list(accumulate(q - 1 for q in sizes))  # the entries of coordinates <= c
+    Entry x owns a row of one slot per entry y of a later coordinate, slot
+    row[x] + y, so there are exactly `total` slots, in (c1, s1, c2, s2)
+    order.  A byte stays at 255 once there, and such a word has no count
+    here."""
     p = cut[-1]
-    off = [e - q for e, q in zip(cut, sizes)]  # entry (c, s) is off[c] + s
     widths = (p - e for e, q in zip(cut, sizes) for _ in range(q - 1))
     row = [end - p for end in accumulate(widths)]
     buf = bytearray(total)
@@ -240,23 +252,18 @@ def _pair_bytes(alphabet: MixedAlphabet, blocks, total: int):
                 pass
     if buf.count(1) == total:
         return None
-    bad = buf.translate(_MISCOUNT)
-    f = bad.find(1)
-    x = bisect_right(row, f - p)
-    y = f - row[x]
-    c1 = bisect_right(cut, x)
-    stop = off[bisect_right(cut, y)] + 1  # a later row beats y only below y's coordinate
-    for z in range(x + 1, cut[c1]):
-        g = bad.find(1, row[z] + cut[c1], row[z] + stop)
-        if g >= 0:
-            x, y = z, g - row[z]
-            stop = off[bisect_right(cut, y)] + 1
-    c2 = bisect_right(cut, y)
-    u, v = (c1, x - off[c1]), (c2, y - off[c2])
-    count = buf[row[x] + y]
-    if count == 255:
-        count = sum(u in b.support and v in b.support for b in blocks)
-    return (u, v), count
+    miss = buf.translate(_MISCOUNT)
+
+    # as in _pair_masks, the tables are defaults rather than closure cells
+    def bad(x, end, p=p, row=row, miss=miss):
+        f = miss.find(1, row[x] + end, row[x] + p)
+        return f - row[x] if f >= 0 else -1
+
+    def count(x, y, row=row, buf=buf):
+        n = buf[row[x] + y]
+        return None if n == 255 else n
+
+    return bad, count
 
 
 def _coverage_distance(design: MixedDesign) -> int | float | None:

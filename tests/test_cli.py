@@ -688,6 +688,61 @@ def test_oa_missing_parameter_exits_2():
     assert "needs --q" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "--family", "ms1", "--k", "3"], "ms1 needs --alphabet and --k"),
+        (["construct", "--family", "oa-gdd", "--k", "4"], "oa-gdd needs --k and --r"),
+        (["construct", "--family", "base"], "base needs --k"),
+        (["construct", "--family", "affine"], "affine needs --q"),
+        (["construct", "--family", "hybrid", "--i", "2"], "hybrid needs --k"),
+        (["oa", "--kind", "square"], "square needs --q"),
+        (["oa", "--kind", "extended", "--k", "3"], "extended needs --q"),
+        (["oa", "--kind", "sum", "--t", "3"], "sum needs --t and --k"),
+    ],
+)
+def test_each_missing_argument_message_is_exact(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _verify_out(capsys, *argv):
+    code = cli.main(["verify", *argv])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("strength, code", [("2", 0), ("3", 1)])
+def test_strength_is_a_second_spelling_of_t(tmp_path, capsys, strength, code):
+    path = tmp_path / "square.oa"
+    path.write_text(oa_to_text(oa_square(3)))
+    spelled = _verify_out(capsys, "--claim", "oa", "--strength", strength, str(path))
+    assert spelled[0] == code
+    assert spelled == _verify_out(capsys, "--claim", "oa", "--t", strength, str(path))
+
+
+def test_the_last_of_t_and_strength_wins(tmp_path, capsys):
+    path = tmp_path / "square.oa"
+    path.write_text(oa_to_text(oa_square(3)))
+    assert _verify_out(capsys, "--claim", "oa", "--t", "3", "--strength", "2", str(path))[0] == 0
+    assert _verify_out(capsys, "--claim", "oa", "--strength", "2", "--t", "3", str(path))[0] == 1
+
+
+def test_strength_sets_t_on_a_design_claim(tmp_path, capsys):
+    path = tmp_path / "design.json"
+    assert cli.main(["construct", "--family", "hybrid", "--k", "3", "--i", "4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    spelled = _verify_out(capsys, "--claim", "gdd", "--strength", "1", str(path))
+    assert spelled[0] == 1 and json.loads(spelled[1])["stats"]["t"] == 1
+    assert spelled == _verify_out(capsys, "--claim", "gdd", "--t", "1", str(path))
+
+
+def test_verify_help_lists_strength_as_t(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--t T, --strength T" in capsys.readouterr().out
+
+
 def test_catalog_lists_all_records_all_blocked():
     result = run_cli("catalog")
     assert result.returncode == 0

@@ -27,6 +27,7 @@ from design_forge import (
     verify_gdd,
     verify_large_set,
 )
+from design_forge import constructions
 from tests.conftest import build_sum_large_set, build_toy_large_set
 
 
@@ -273,6 +274,22 @@ def test_catalog_hole_sizes_follow_the_fold():
         assert rec.hole_size == rec.group_size * (rec.group_count - rec.t + 1)
         assert rec.k == rec.t + 1
         assert rec.points == rec.group_size * rec.group_count + rec.hole_size
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        (range(2, 14), range(1, 5), range(1, 4)),
+        (range(2, 3), range(1, 2), range(1, 2)),
+        (range(2, 40), range(1, 9), range(1, 6)),
+        (range(2, 2), range(1, 5), range(1, 4)),
+        (range(2, 14), range(1, 1), range(1, 4)),
+        (range(2, 14), range(1, 5), range(1, 1)),
+        (range(2, 2), range(1, 1), range(1, 1)),
+    ],
+)
+def test_catalog_counts_the_records_it_makes(ranges):
+    assert constructions._catalog_count(*ranges) == len(gdd_catalog(*ranges))
 
 
 def _source_lambdas(n: int, g: int, t: int) -> list[Fraction]:

@@ -42,14 +42,16 @@ def oracle(sizes, supports):
     return first, counts[first]
 
 
-def kernel_paths(design, blocks):
-    """The answers of _pair_miscount, _pair_masks and _pair_bytes."""
+def kernel_paths(design, blocks, monkeypatch):
+    """The answers of _pair_miscount as the bound picks its packing, with
+    masks forced and with bytes forced."""
     alphabet = design.alphabet
     total = sum((p - 1) * (q - 1) for p, q in combinations(alphabet.sizes, 2))
-    return tuple(
-        f(alphabet, tuple(blocks), total)
-        for f in (verify._pair_miscount, verify._pair_masks, verify._pair_bytes)
-    )
+    answers = []
+    for per_k in (verify._MASK_ENTRIES_PER_K, 10**9, 0):
+        monkeypatch.setattr(verify, "_MASK_ENTRIES_PER_K", per_k)
+        answers.append(verify._pair_miscount(alphabet, tuple(blocks), total))
+    return tuple(answers)
 
 
 def edited(design, rng, edits):
@@ -121,24 +123,24 @@ EDITS = ["delete", "duplicate", "triple", "symbol", "move"]
 
 @pytest.mark.parametrize("name", sorted(NARROW))
 @pytest.mark.parametrize("edit", EDITS)
-def test_each_path_names_what_the_oracle_names(name, edit):
+def test_each_path_names_what_the_oracle_names(name, edit, monkeypatch):
     design = NARROW[name]
-    assert kernel_paths(design, design.blocks) == (None,) * 3
+    assert kernel_paths(design, design.blocks, monkeypatch) == (None,) * 3
     for seed in range(8):
         rng = random.Random(f"{name} {edit} {seed}")
         blocks = edited(design, rng, [edit] * rng.randint(1, 3))
         want = oracle(design.alphabet.sizes, [b.support for b in blocks])
-        assert kernel_paths(design, blocks) == (want,) * 3
+        assert kernel_paths(design, blocks, monkeypatch) == (want,) * 3
 
 
 @pytest.mark.parametrize("name", sorted(NARROW))
-def test_each_path_names_what_the_oracle_names_after_mixed_edits(name):
+def test_each_path_names_what_the_oracle_names_after_mixed_edits(name, monkeypatch):
     design = NARROW[name]
     for seed in range(20):
         rng = random.Random(f"{name} mixed {seed}")
         blocks = edited(design, rng, rng.choices(EDITS, k=rng.randint(2, 5)))
         want = oracle(design.alphabet.sizes, [b.support for b in blocks])
-        assert kernel_paths(design, blocks) == (want,) * 3
+        assert kernel_paths(design, blocks, monkeypatch) == (want,) * 3
 
 
 @pytest.fixture
@@ -190,6 +192,33 @@ def test_a_lopsided_alphabet_past_the_bound_is_counted_in_bytes(paths_run):
         want = oracle(design.alphabet.sizes, [b.support for b in blocks])
         assert verify._pair_miscount(design.alphabet, tuple(blocks), g) == want
     assert paths_run == ["_pair_bytes"] * (1 + len(EDITS))
+
+
+def test_a_two_entry_first_coordinate_past_the_bound_is_counted_in_bytes(paths_run):
+    # type 2^1 1^1 4096^1 at k = 2: P = 4099 entries, past 4096 (k - 1), and
+    # the violator's first coordinate holds two entries, so its s1 is chosen
+    # between two rows: by the lower c2, and on a tie by the lower s1
+    design = complete((3, 2, 4097))
+    sizes, total = design.alphabet.sizes, len(design.blocks)
+
+    def without(*words):
+        return [b for b in design.blocks if b.support not in words]
+
+    cases = [
+        design.blocks,
+        without(((0, 1), (2, 5)), ((0, 2), (1, 1))),  # s1 = 2 has the lower c2
+        without(((0, 1), (2, 5)), ((0, 2), (2, 3))),  # a tie on c2 keeps s1 = 1
+    ]
+    for edit in EDITS:
+        for seed in range(4):
+            rng = random.Random(f"type 2^1 1^1 4096^1 {edit} {seed}")
+            cases.append(edited(design, rng, [edit] * rng.randint(1, 3)))
+    for blocks in cases:
+        want = oracle(sizes, [b.support for b in blocks])
+        assert verify._pair_miscount(design.alphabet, tuple(blocks), total) == want
+    assert oracle(sizes, [b.support for b in cases[1]]) == (((0, 2), (1, 1)), 0)
+    assert oracle(sizes, [b.support for b in cases[2]]) == (((0, 1), (2, 5)), 0)
+    assert paths_run == ["_pair_bytes"] * len(cases)
 
 
 def test_a_wide_k_3_alphabet_at_the_bound_takes_masks(paths_run):
