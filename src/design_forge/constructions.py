@@ -426,18 +426,18 @@ def construct_from_oa(k: int, r: int) -> MixedDesign:
     _words_within_ceiling(((1, r * k), (k, k - r)), 2)
     alphabet = MixedAlphabet((2,) * (r * k) + (k + 1,) * (k - r))
     array = oa_square(k)
-    blocks = [
-        Codeword(tuple((i * k + c, 1) for c in range(k))) for i in range(r)
-    ]
+    # sorted and valid as they stand, since row[i] is in range(k)
+    # (see core._valid_codewords)
+    blocks = [tuple((i * k + c, 1) for c in range(k)) for i in range(r)]
     for row in array.rows:
         support = [(i * k + row[i], 1) for i in range(r)]
         support += [(r * k + (i - r), row[i] + 1) for i in range(r, k)]
-        blocks.append(Codeword(tuple(support)))
+        blocks.append(tuple(support))
     design = MixedDesign(
         alphabet,
         2,
         k,
-        tuple(blocks),
+        _valid_codewords(blocks),
         meta=f"oa-gdd k={k} r={r}; 0-based (source blocks are 1-based over 1..k)",
     )
     return _checked(design, k + r - 2)
@@ -506,12 +506,17 @@ def combine_partition(cover: PartitionedCover) -> MixedDesign:
     new last coordinate.  Its weight-t words are held to the word ceiling
     first; then CoverInvariantViolated refuses the shapes the output check
     cannot see: block sizes, points outside range(n) (point n aliases the
-    new coordinate), and a class block listed twice (unseen at t = k)."""
+    new coordinate), and a class block listed twice (unseen at t = k).  A
+    point equal to an int but of another type (1.0, True) raises Codeword's
+    ValueError for its entry, after every shape check.  Blocks may list
+    their points in any order; each is sorted before it is combined."""
     _words_within_ceiling(((1, cover.n), (len(cover.classes), 1)), cover.t)
     pts = range(cover.n)
+    strays = []  # points in pts by equality that are not ints
     for b in cover.r_blocks:
         if len(set(b)) != cover.k or any(p not in pts for p in b):
             raise CoverInvariantViolated(f"root block {b} is not a {cover.k}-subset")
+        strays += [p for p in b if type(p) is not int]
     seen: dict = {}  # block -> index of the class that first listed it
     for ci, cls in enumerate(cover.classes):
         for b in cls:
@@ -522,20 +527,36 @@ def combine_partition(cover: PartitionedCover) -> MixedDesign:
                 where = f"twice in class {ci}" if seen[key] == ci else "in two classes"
                 raise CoverInvariantViolated(f"block {b} appears {where}")
             seen[key] = ci
-    return _combine(cover, f"combined cover n={cover.n} r={len(cover.classes)}")
+            strays += [p for p in b if type(p) is not int]
+    if strays:
+        raise ValueError(f"block entry must be a [coordinate, symbol] pair, got {(strays[0], 1)!r}")
+
+    def ordered(blocks):
+        return tuple(tuple(sorted(b)) for b in blocks)
+
+    return _combine(
+        PartitionedCover(
+            cover.n, cover.t, cover.k, ordered(cover.r_blocks), tuple(map(ordered, cover.classes))
+        ),
+        f"combined cover n={cover.n} r={len(cover.classes)}",
+    )
 
 
 def _combine(cover: PartitionedCover, meta: str) -> MixedDesign:
-    """combine_partition without its shape checks.  The output check at
+    """combine_partition without its shape checks, over a cover whose
+    blocks are sorted tuples of distinct int points in range(n): those of
+    expand_design and the sorted copy combine_partition makes.  So (p, 1)
+    for each point, then (n, i >= 1) last, is a valid sorted support as it
+    stands, and no block is checked one by one.  The output check at
     distance 2(k - t) + 1 counts every exactly-once cover invariant: the
     binary t-words are the t-subsets, the words through symbol i at the last
     coordinate are the (t-1)-subsets of class i."""
     alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
-    blocks = [Codeword(tuple((p, 1) for p in b)) for b in cover.r_blocks]
+    blocks = [tuple((p, 1) for p in b) for b in cover.r_blocks]
     for ci, cls in enumerate(cover.classes, start=1):
-        for b in cls:
-            blocks.append(Codeword(tuple((p, 1) for p in b) + ((cover.n, ci),)))
-    design = MixedDesign(alphabet, cover.t, cover.k, tuple(blocks), meta=meta)
+        last = ((cover.n, ci),)
+        blocks += [tuple((p, 1) for p in b) + last for b in cls]
+    design = MixedDesign(alphabet, cover.t, cover.k, _valid_codewords(blocks), meta=meta)
     return _checked(design, 2 * (cover.k - cover.t) + 1)
 
 
@@ -558,7 +579,7 @@ def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
         MixedAlphabet((2,) * (q * q)),
         2,
         q,
-        tuple(map(Codeword, lines)),
+        _valid_codewords(lines),
         meta=f"affine plane order {q}",
     )
     resolution = Resolution(tuple(tuple(range(m * q, m * q + q)) for m in range(q + 1)))

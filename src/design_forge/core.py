@@ -33,7 +33,9 @@ class Codeword:
         symbols >= 1, kept sorted whatever order a caller passes them in.
         Supports known to pass it skip it through _valid_codewords: the
         readers' compact block lists, the large-set fold and slice, and
-        ms1_construct, whose routes sort each block's distinct coordinates."""
+        every builder, whose supports are sorted by construction
+        (ms1_construct, construct_from_oa, resolvable_affine and the
+        hybrid and combine_partition; see _valid_codewords)."""
         pairs = []
         for p in self.support:
             if not (isinstance(p, (tuple, list)) and len(p) == 2
@@ -71,8 +73,22 @@ def _valid_codewords(supports: list) -> tuple[Codeword, ...]:
     """Codewords of supports that already pass Codeword's check as they
     stand: tuples of sorted (c, s) int pairs with distinct coordinates
     >= 0 and symbols >= 1.  __post_init__ is not run, so a caller uses this
-    only where its own checks or the blocks it derives from establish that,
-    as ms1_construct's do: sorted distinct coordinates, symbols counted from 1."""
+    only where its own checks or the blocks it derives from establish that.
+    The builders' supports qualify by construction:
+
+    * ms1_construct: each route's block lists distinct coordinates in
+      ascending order, and a coordinate's symbols are counted from 1;
+    * construct_from_oa: a row block lists binary points i*k + row[i] for
+      i < r, rising with i below rk since row[i] is in range(k), then the
+      nonbinary coordinates rk + (i - r) in order, with symbols row[i] + 1;
+    * resolvable_affine: each line lists its points x*q + y ordered by x;
+    * the hybrid and combine_partition (constructions._combine): each
+      block's points are distinct ints in range(n), sorted (expand_design
+      emits them so, combine_partition sorts a caller's cover after its
+      checks), with (n, i >= 1) appended last.
+
+    Each design they build is still checked in full before it is returned:
+    its fit to the alphabet, coverage and distance (constructions._checked)."""
     words = list(map(object.__new__, repeat(Codeword, len(supports))))
     list(map(object.__setattr__, words, repeat("support"), supports))
     return tuple(words)

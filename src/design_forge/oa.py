@@ -33,6 +33,11 @@ class OrthogonalArray:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        """The check of every direct call and of oa_from_text: row lengths
+        and symbols in 0..alphabet-1.  oa_square, oa_extended and oa_sum
+        skip it through _built_array: their rows are tuples of `columns`
+        ints that field arithmetic (GF(q)) or arithmetic mod k keeps in
+        range(alphabet)."""
         if self.alphabet < 1:
             raise ValueError(f"alphabet must be >= 1, got {self.alphabet}")
         for row in self.rows:
@@ -45,6 +50,15 @@ class OrthogonalArray:
         for stray in filterfalse(inside, set(chain.from_iterable(self.rows))):
             row = next(r for r in self.rows if stray in r or not all(map(inside, r)))
             raise ValueError(f"row {row} has symbols outside 0..{self.alphabet - 1}")
+
+
+def _built_array(strength: int, columns: int, alphabet: int, rows) -> OrthogonalArray:
+    """An OrthogonalArray of rows that already pass its check as they
+    stand: tuples of `columns` ints in range(alphabet).  __post_init__ is
+    not run, so only a builder whose arithmetic establishes that calls this."""
+    array = object.__new__(OrthogonalArray)
+    vars(array).update(strength=strength, columns=columns, alphabet=alphabet, rows=rows)
+    return array
 
 
 def mols_complete(q: int) -> list[LatinSquare]:
@@ -67,7 +81,7 @@ def oa_square(q: int) -> OrthogonalArray:
         tuple(f.add(f.mul(a, x), b) for x in range(q))
         for a in range(q) for b in range(q)
     )
-    return OrthogonalArray(2, q, q, rows)
+    return _built_array(2, q, q, rows)
 
 
 def oa_extended(q: int) -> OrthogonalArray:
@@ -76,7 +90,7 @@ def oa_extended(q: int) -> OrthogonalArray:
     before the field is built."""
     _within_ceiling(q * q * (q + 1), "array entries", _word_ceiling(None))
     rows = tuple(row + (i // q,) for i, row in enumerate(oa_square(q).rows))
-    return OrthogonalArray(2, q + 1, q, rows)
+    return _built_array(2, q + 1, q, rows)
 
 
 def oa_sum(t: int, k: int) -> OrthogonalArray:
@@ -97,7 +111,7 @@ def oa_sum(t: int, k: int) -> OrthogonalArray:
     rows = tuple(
         tup + ((-sum(tup)) % k,) for tup in product(range(k), repeat=t - 1)
     )
-    return OrthogonalArray(t - 1, t, k, rows)
+    return _built_array(t - 1, t, k, rows)
 
 
 def verify_oa(

@@ -306,10 +306,10 @@ def test_base_system_fails_fast_on_the_word_ceiling(monkeypatch):
 def test_combine_partition_fails_fast_on_the_word_ceiling(monkeypatch):
     cover = base_system(4)
 
-    def no_block(support):
+    def no_block(supports):
         raise AssertionError("a block was built before the ceiling check")
 
-    monkeypatch.setattr(constructions, "Codeword", no_block)
+    monkeypatch.setattr(constructions, "_valid_codewords", no_block)
     # Z_2^12 x Z_5: C(12, 2) + 12 * 4 = 114 weight-2 words
     monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "113")
     with pytest.raises(VerificationLimitExceeded, match="114 weight-2 words"):

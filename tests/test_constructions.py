@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import re
@@ -24,17 +25,20 @@ from design_forge import (
     base_system,
     combine_partition,
     construct_from_oa,
+    construct_hybrid_ms,
     constructions,
     design_to_json,
     gdd_type_of,
     min_distance,
     ms1_construct,
     ms1_feasible,
+    resolvable_affine,
     validate_cover,
     verify,
     verify_gdd,
     verify_mixed_steiner,
 )
+from tests.conftest import build_ag33_lines, build_kts15
 
 # ---------------------------------------------------------------- weight-1
 
@@ -380,6 +384,10 @@ def test_ms1_greedy_and_havel_hakimi_outputs_on_the_criterion_5_grid_are_pinned(
     assert digest.hexdigest() == expected
 
 
+def _supports_as_codeword_makes_them(design) -> bool:
+    return [b.support for b in design.blocks] == [Codeword(b.support).support for b in design.blocks]
+
+
 def test_ms1_routes_return_blocks_that_codeword_would_accept_as_they_stand():
     # ms1_construct skips Codeword's check of each block: every route's
     # block is sorted with distinct coordinates, and every support it makes
@@ -389,8 +397,58 @@ def test_ms1_routes_return_blocks_that_codeword_would_accept_as_they_stand():
         routes[route] += 1
         assert design.meta.split()[2] == route
         assert all(list(block) == sorted(set(block)) for block in blocks)
-        assert [b.support for b in design.blocks] == [Codeword(b.support).support for b in design.blocks]
+        assert _supports_as_codeword_makes_them(design)
     assert routes == {"greedy": 55, "havel-hakimi": 1296, "search": 128}
+
+
+# construct_from_oa, resolvable_affine and the hybrid wrap their blocks
+# without Codeword's check of each block too: every support they make is
+# the one that check would have made (sorted, distinct int coordinates >= 0,
+# int symbols >= 1)
+@pytest.mark.parametrize("k", [3, 4, 5, 7, 8, 9])
+def test_construct_from_oa_makes_the_supports_codeword_would(k):
+    for r in range(1, k):
+        assert _supports_as_codeword_makes_them(construct_from_oa(k, r))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_resolvable_affine_makes_the_supports_codeword_would(q):
+    assert _supports_as_codeword_makes_them(resolvable_affine(q)[0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: resolvable_affine(3),
+        lambda: resolvable_affine(4),
+        lambda: resolvable_affine(5),
+        build_kts15,
+        build_ag33_lines,
+    ],
+    ids=["AG(2,3)", "AG(2,4)", "AG(2,5)", "KTS(15)", "AG(3,3)"],
+)
+def test_construct_hybrid_ms_makes_the_supports_codeword_would(build):
+    design, resolution = build()
+    for i in range(len(resolution.classes) + 1):
+        assert _supports_as_codeword_makes_them(construct_hybrid_ms(design, resolution, i))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct_from_oa(4, 3),
+        lambda: resolvable_affine(4)[0],
+        lambda: construct_hybrid_ms(*resolvable_affine(3), 1),
+        lambda: combine_partition(base_system(4)),
+    ],
+    ids=["oa-gdd", "affine", "hybrid", "combine"],
+)
+def test_builders_do_not_check_their_blocks_one_by_one(monkeypatch, build):
+    def checked(self):
+        raise AssertionError("a built block was checked by Codeword")
+
+    monkeypatch.setattr(Codeword, "__post_init__", checked)
+    assert build().report.ok
 
 
 @pytest.mark.parametrize(
@@ -536,6 +594,40 @@ def test_combine_partition_names_where_a_class_block_repeats(into, message):
     bad = PartitionedCover(good.n, good.t, good.k, good.r_blocks, tuple(classes))
     with pytest.raises(CoverInvariantViolated, match=re.escape(message)):
         combine_partition(bad)
+
+
+def _edited_cover(cover: PartitionedCover, where: str, edit) -> PartitionedCover:
+    """The cover with `edit` applied to each block holding point 1 among its
+    root blocks (where="root") or in its class 0 (where="class")."""
+
+    def apply(blocks):
+        return tuple(edit(b) if 1 in b else b for b in blocks)
+
+    if where == "root":
+        return dataclasses.replace(cover, r_blocks=apply(cover.r_blocks))
+    return dataclasses.replace(cover, classes=(apply(cover.classes[0]),) + cover.classes[1:])
+
+
+@pytest.mark.parametrize("where", ["root", "class"])
+def test_combine_partition_sorts_a_block_listed_out_of_order(where):
+    good = base_system(4)
+    unsorted = _edited_cover(good, where, lambda b: tuple(reversed(b)))
+    assert unsorted != good
+    design, expected = combine_partition(unsorted), combine_partition(good)
+    assert [b.support for b in design.blocks] == [b.support for b in expected.blocks]
+    assert design_to_json(design) == design_to_json(expected)
+
+
+@pytest.mark.parametrize("where", ["root", "class"])
+@pytest.mark.parametrize("stray, entry", [(1.0, "(1.0, 1)"), (True, "(True, 1)")], ids=["float", "bool"])
+def test_combine_partition_refuses_a_point_that_is_not_an_int(where, stray, entry):
+    # the point equals 1 and so passes the shape checks; it is refused as
+    # Codeword's check refuses the entry (point, 1)
+    bad = _edited_cover(base_system(4), where, lambda b: tuple(stray if p == 1 else p for p in b))
+    with pytest.raises(ValueError) as info:
+        combine_partition(bad)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"block entry must be a [coordinate, symbol] pair, got {entry}"
 
 
 def test_validate_cover_rejects_broken_class():

@@ -14,6 +14,7 @@ from design_forge import (
     NotResolvable,
     Resolution,
     base_system,
+    construct_from_oa,
     construct_hybrid_ms,
     design_from_json,
     design_to_json,
@@ -239,6 +240,60 @@ AFFINE_DIGESTS = {
 @pytest.mark.parametrize("q", sorted(AFFINE_DIGESTS))
 def test_resolvable_affine_output_is_pinned(q):
     assert _sha256(design_to_json(*resolvable_affine(q))) == AFFINE_DIGESTS[q]
+
+
+# sha256 of design_to_json(construct_from_oa(k, r)) for r = 1 .. k - 1
+OA_GDD_DIGESTS = {
+    3: [
+        "5966bbbc7cde087b34c6ff1aa741aab197ccd21571fbfd5ef2f956af56b4e45d",
+        "3cc3fd2d71829ff307778da6fd76ae5fdcbe2d483b878a1f3b32f2ff3109a7fa",
+    ],
+    4: [
+        "94cc0e40cc1f59abb9376adf8deff959ab08517201f6cc74333388d7f6c53dc2",
+        "e20862bb03251fd4f339e412e4710ad18e36e2a97289760dc8c3d257131e6b38",
+        "1d7c7cc6f98c59d5cbf095353aff7c8b37ce573be51c276d15aed0a671bb7379",
+    ],
+    5: [
+        "3c53cba02d60341eb618faf24c19e0cc357d7395f1d776b2b6a1f90882ab3a48",
+        "f3fab0c77c610af71536fb17aeb9163ddddb85e180c361276b3dd7f964c315fb",
+        "85453343275e63b4fc9ad0940ffa5e38366b7f332b856e8447f2a13869256fac",
+        "b1f4f992208a201874d756e8138840c3c8b0159afe4cce49ffd85a4e4ecf4101",
+    ],
+    7: [
+        "50e271862466592fb83f9c93700783001d0986b8afe11c944f03b26f2b3070e4",
+        "1886427f57a7bf9829202e6fffba1c8924d18f7fb7a36a662976b28f8e6ebf9f",
+        "2a4152c6c501ea412e96e8381ea103c6520275117e9c362bff9da764890c4219",
+        "db78b13d11415d2d2d78780a5561ef452dc3528f37d11269430d40369ec52381",
+        "acccc62c5799218f7165d706904640b68a757541faf6f3d2fcfafa8b36144ec2",
+        "5bb7cae493d9534ffce72c72373eaafd0880ad2f0aec3a4e5ead37019dd59308",
+    ],
+    8: [
+        "2233857d416aaa02c353bb2e9dfe11124a3b91d15fdef4535801a3d6e6c4d2d5",
+        "0a88991c64e85405c0f968546dd8a0452f029fd67719ce4ab97423b1d8b1f7c2",
+        "80363dd7fbc67f5c02a73ad033916729511b8db53173380c4b4fde975e2a22da",
+        "58a815a4b6f06bb1d3cbdab9708af832a4e7ff4fb9bb2dc5e7da5af12963f3dd",
+        "0382c9421c7699bbfa805f664dd24305cbb49d5a9e66ffef2dfd5db42a560f7c",
+        "5aa15b5fac104cd3d420fad17ceb161cc39c3c6504b410cc23254001882ee988",
+        "35978c423ffa7b5f997aef756de55c88953a191b9914d845ad5474f0b94463dc",
+    ],
+    9: [
+        "e63d5540593edf9d7f2c66b6d184a6e66787f55496fc1eb7a216b27c1225d5d7",
+        "7a92a757aae0bd8fb2478c0b7591f59259b1f9dfe1a1299f588c501772e7c805",
+        "6595fff4c7bc2d7d5945b714077da4b16d34c941dd444e0a2427c74aa2a91f48",
+        "43c68960878968d2621fea2a85ae3bd221bc6e6c472f11d56b0ed784dc66e3bc",
+        "3cfcc011fd23f9ba668985d2d86c81d6009bc09c6d5ab7834749a6e97dc463d5",
+        "2b45d2837def24edb10d27ec9b4164608cfa26fe46ea2e19a34d85b9eef68c3e",
+        "9d8a6dd90bbd5e5ee5e83525de8b70487bb8aacbf72f48c6e84f1b26c7f1c6fd",
+        "39da5d33d3337b279862cd7af4642fb5549d38bc5521d3c5adc74b34c89053a4",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "k, r", [(k, r) for k, digests in OA_GDD_DIGESTS.items() for r in range(1, len(digests) + 1)]
+)
+def test_construct_from_oa_output_is_pinned(k, r):
+    assert _sha256(design_to_json(construct_from_oa(k, r))) == OA_GDD_DIGESTS[k][r - 1]
 
 
 # sha256 of the hybrid over AG(2, 4) with its first i classes replaced

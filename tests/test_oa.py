@@ -514,6 +514,28 @@ def test_orthogonal_array_refuses_an_edit_outside_its_alphabet(build, args, edit
 
 
 @pytest.mark.parametrize("build, args", [a[1:] for a in REFERENCE_ARRAYS], ids=[a[0] for a in REFERENCE_ARRAYS])
+def test_built_arrays_skip_the_check_they_would_pass(monkeypatch, build, args):
+    # oa_square, oa_extended and oa_sum make their arrays without
+    # OrthogonalArray's check of every row; each array is one the check
+    # accepts as it stands: a tuple of int tuples of `columns` entries
+    array = build(*args)
+    assert type(array.rows) is tuple
+    assert all(
+        type(row) is tuple and len(row) == array.columns and all(type(s) is int for s in row)
+        for row in array.rows
+    )
+    assert OrthogonalArray(array.strength, array.columns, array.alphabet, array.rows) == array
+
+    def checked(self):
+        raise AssertionError("a built array was checked row by row")
+
+    monkeypatch.setattr(OrthogonalArray, "__post_init__", checked)
+    assert build(*args) == array
+    with pytest.raises(AssertionError, match="row by row"):
+        OrthogonalArray(array.strength, array.columns, array.alphabet, array.rows)
+
+
+@pytest.mark.parametrize("build, args", [a[1:] for a in REFERENCE_ARRAYS], ids=[a[0] for a in REFERENCE_ARRAYS])
 def test_verify_oa_accepts_without_counting_tuples(monkeypatch, build, args):
     # an array of alphabet^t rows over 0..alphabet-1 is accepted by its base-k
     # keys alone; the tuple count runs only for a column set they reject
