@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from operator import getitem, mul
 
 from .core import (
     Codeword,
@@ -426,13 +426,14 @@ def construct_from_oa(k: int, r: int) -> MixedDesign:
     _words_within_ceiling(((1, r * k), (k, k - r)), 2)
     alphabet = MixedAlphabet((2,) * (r * k) + (k + 1,) * (k - r))
     array = oa_square(k)
-    # sorted and valid as they stand, since row[i] is in range(k)
-    # (see core._valid_codewords)
-    blocks = [tuple((i * k + c, 1) for c in range(k)) for i in range(r)]
-    for row in array.rows:
-        support = [(i * k + row[i], 1) for i in range(r)]
-        support += [(r * k + (i - r), row[i] + 1) for i in range(r, k)]
-        blocks.append(tuple(support))
+    # cells[i][s] is the entry of symbol s at column i: (i*k + s, 1) for
+    # i < r, (r*k + (i - r), s + 1) after.  A row's entries, read column by
+    # column, are sorted and valid as they stand, since each symbol is in
+    # range(k) (see core._valid_codewords)
+    cells = [[(i * k + s, 1) for s in range(k)] for i in range(r)]
+    cells += [[(r * k + (i - r), s + 1) for s in range(k)] for i in range(r, k)]
+    blocks = [tuple(cells[i]) for i in range(r)]
+    blocks += [tuple(map(getitem, cells, row)) for row in array.rows]
     design = MixedDesign(
         alphabet,
         2,
@@ -545,17 +546,20 @@ def combine_partition(cover: PartitionedCover) -> MixedDesign:
 def _combine(cover: PartitionedCover, meta: str) -> MixedDesign:
     """combine_partition without its shape checks, over a cover whose
     blocks are sorted tuples of distinct int points in range(n): those of
-    expand_design and the sorted copy combine_partition makes.  So (p, 1)
-    for each point, then (n, i >= 1) last, is a valid sorted support as it
-    stands, and no block is checked one by one.  The output check at
-    distance 2(k - t) + 1 counts every exactly-once cover invariant: the
-    binary t-words are the t-subsets, the words through symbol i at the last
-    coordinate are the (t-1)-subsets of class i."""
+    expand_design (sorted by its increasing point map, with no sort) and
+    the sorted copy combine_partition makes.  So (p, 1) for each point, read
+    from one table of entries, then (n, i >= 1) last, is a valid sorted
+    support as it stands, and no block is checked one by one.  The output
+    check at distance 2(k - t) + 1 counts every exactly-once cover
+    invariant: the binary t-words are the t-subsets, the words through
+    symbol i at the last coordinate are the (t-1)-subsets of class i."""
     alphabet = MixedAlphabet((2,) * cover.n + (len(cover.classes) + 1,))
-    blocks = [tuple((p, 1) for p in b) for b in cover.r_blocks]
+    # entry[p] = (p, 1), through point n, which stands for the new coordinate
+    entry = [(p, 1) for p in range(cover.n + 1)].__getitem__
+    blocks = [tuple(map(entry, b)) for b in cover.r_blocks]
     for ci, cls in enumerate(cover.classes, start=1):
         last = ((cover.n, ci),)
-        blocks += [tuple((p, 1) for p in b) + last for b in cls]
+        blocks += [tuple(map(entry, b)) + last for b in cls]
     design = MixedDesign(alphabet, cover.t, cover.k, _valid_codewords(blocks), meta=meta)
     return _checked(design, 2 * (cover.k - cover.t) + 1)
 
@@ -573,8 +577,10 @@ def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
     is built; the output is checked at distance 2(q - 2) + 1 together with
     its resolution."""
     _words_within_ceiling(((1, q * q),), 2)
-    lines = [tuple((x * q + row[x], 1) for x in range(q)) for row in oa_square(q).rows]
-    lines += [tuple((c * q + y, 1) for y in range(q)) for c in range(q)]
+    # cells[x][y] is the entry of point (x, y); the vertical lines are the cells
+    cells = [[(x * q + y, 1) for y in range(q)] for x in range(q)]
+    lines = [tuple(map(getitem, cells, row)) for row in oa_square(q).rows]
+    lines += map(tuple, cells)
     design = MixedDesign(
         MixedAlphabet((2,) * (q * q)),
         2,
@@ -599,10 +605,12 @@ def expand_design(design: MixedDesign, resolution: Resolution, i: int) -> Partit
     orders resolution.classes.
 
     Each block {x_0 < .. < x_{k-1}} of T maps base point c*(k-1) + j of
-    Z_k x Z_{k-1} to x_c*(k-1) + j.  Through this one map a kept block gives
-    R its base system's k-1 cross-sections and gives its k-1 derived
-    parallel classes (merged across each class of T); a replaced block gives
-    R the (k-1)^2 rows r of an OA(2, k, k-1), as base points c*(k-1) + r_c.
+    Z_k x Z_{k-1} to x_c*(k-1) + j.  The map is increasing, and every base
+    block is sorted, so each mapped block comes out sorted with no sort.
+    Through this one map a kept block gives R its base system's k-1
+    cross-sections and gives its k-1 derived parallel classes (merged
+    across each class of T); a replaced block gives R the (k-1)^2 rows r of
+    an OA(2, k, k-1), as base points c*(k-1) + r_c.
     The n columns {x} x Z_{k-1} form one shared class, so the result has
     r = n - (k-1)*i classes.  Over the one-block S(2, k, k) the map is the
     identity, so i = 0 gives base_system(k).
@@ -640,9 +648,10 @@ def expand_design(design: MixedDesign, resolution: Resolution, i: int) -> Partit
         derived: list[list[tuple[int, ...]]] = [[] for _ in parts]
         for bi in cls:
             points = [x * w + j for x, _ in design.blocks[bi].support for j in range(w)]
-            r_blocks.extend(tuple(sorted(map(points.__getitem__, b))) for b in roots)
+            point = points.__getitem__
+            r_blocks.extend(tuple(map(point, b)) for b in roots)
             for sub, part in zip(derived, parts):
-                sub.extend(tuple(sorted(map(points.__getitem__, b))) for b in part)
+                sub.extend(tuple(map(point, b)) for b in part)
         classes.extend(map(tuple, derived))
     return PartitionedCover(n * w, 2, k, tuple(r_blocks), tuple(classes))
 

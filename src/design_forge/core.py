@@ -83,9 +83,12 @@ def _valid_codewords(supports: list) -> tuple[Codeword, ...]:
       nonbinary coordinates rk + (i - r) in order, with symbols row[i] + 1;
     * resolvable_affine: each line lists its points x*q + y ordered by x;
     * the hybrid and combine_partition (constructions._combine): each
-      block's points are distinct ints in range(n), sorted (expand_design
-      emits them so, combine_partition sorts a caller's cover after its
-      checks), with (n, i >= 1) appended last.
+      block's points are distinct ints in range(n), sorted, with (n, i >= 1)
+      appended last.  combine_partition sorts a caller's cover after its
+      checks.  expand_design sorts nothing: it maps the sorted blocks of the
+      base system and of the OA(2, k, k-1) through the increasing map
+      c*(k-1) + j -> x_c*(k-1) + j of a block x_0 < .. < x_{k-1}, which
+      keeps them sorted.
 
     Each design they build is still checked in full before it is returned:
     its fit to the alphabet, coverage and distance (constructions._checked)."""

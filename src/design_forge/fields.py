@@ -7,9 +7,23 @@ reducing modulus is the monic irreducible polynomial of degree m whose
 non-leading coefficient vector has the smallest base-p little-endian encoding
 (found by exhaustive search): x^2+x+1 for GF(4), x^3+x+1 for GF(8), x^2+1 for
 GF(9), x^4+x+1 for GF(16).
+
+The tables are built without per-entry polynomial arithmetic.  Addition is
+digit-wise mod p, so the add rows are built one base-p digit at a time from
+shifted copies of the rows over fewer digits.  Multiplication goes through
+discrete logarithms (power and log tables of a primitive element, as in
+Lidl and Niederreiter, *Finite Fields*): the powers of the least primitive
+element g, q - 1 polynomial products modulo the modulus, list every nonzero
+label once, so a*b = g^(log a + log b) for nonzero a and b, and
+a^-1 = g^(-log a).  The negation of a is read off its add row, where it
+meets 0.  Labels, moduli and every table value are those of polynomial
+arithmetic modulo the modulus, entry by entry; the tests compare all four
+tables with a schoolbook reference field.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import NotPrimePower
 
@@ -87,6 +101,52 @@ def _smallest_irreducible(p: int, m: int) -> list[int]:
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
+def _label(coeffs, p: int) -> int:
+    """The label of the polynomial with little-endian coefficients coeffs."""
+    label = 0
+    for c in reversed(coeffs):
+        label = label * p + c
+    return label
+
+
+def _add_rows(p: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """add_table of GF(p^m), built one base-p digit at a time.  The rows over
+    labels below p^j give those below p^(j+1): label low + p^j*d plus label
+    b_low + p^j*e is their sum's label plus p^j*((d + e) mod p), so each new
+    row strings together p shifted copies of the old row `low`."""
+    rows = [(0,)]
+    for j in range(m):
+        size = p**j
+        shifted = [[tuple(map((s * size).__add__, row)) for s in range(p)] for row in rows]
+        rows = [
+            tuple(chain.from_iterable(shifted[low][(d + e) % p] for e in range(p)))
+            for d in range(p) for low in range(size)
+        ]
+    return tuple(rows)
+
+
+def _powers(p: int, modulus) -> list[int]:
+    """exp[i] = g^i for i < q - 1, as labels, where g is the least label
+    whose powers run through all q - 1 nonzero labels of GF(q) modulo
+    `modulus` (a primitive element).  A candidate's walk stops when it
+    returns to 1; the primitive one's walk takes q - 1 polynomial products
+    and is the table."""
+    m = len(modulus) - 1
+    q = p**m
+    for g in range(1, q):
+        digits = _digits(g, p, m)
+        power, exp = _digits(1, p, m), [1]
+        while True:
+            power = _poly_rem(_poly_mul(power, digits, p), modulus, p)
+            label = _label(power, p)
+            if label == 1:
+                break
+            exp.append(label)
+        if len(exp) == q - 1:
+            return exp
+    raise AssertionError(f"GF({q}) has no primitive element")
+
+
 class FiniteField:
     """GF(q) with precomputed addition/multiplication/inverse tables."""
 
@@ -97,27 +157,20 @@ class FiniteField:
         self.q = q
         self.p, self.m = pm
         self.modulus = tuple(_smallest_irreducible(self.p, self.m))
-        coeffs = [_digits(i, self.p, self.m) for i in range(q)]
-        index = {c: i for i, c in enumerate(coeffs)}
-        self.add_table = tuple(
-            tuple(index[tuple((x + y) % self.p for x, y in zip(a, b))] for b in coeffs)
-            for a in coeffs
+        self.add_table = _add_rows(self.p, self.m)
+        exp = _powers(self.p, self.modulus)
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        # row a, a != 0, holds exp[log a + log b] at b != 0; exp twice over
+        # spares the sum its reduction mod q - 1
+        twice = exp + exp
+        logs = log[1:]
+        self.mul_table = ((0,) * q,) + tuple(
+            (0,) + tuple(map(twice[la:la + q - 1].__getitem__, logs)) for la in logs
         )
-        self.mul_table = tuple(
-            tuple(index[tuple(_poly_rem(_poly_mul(a, b, self.p), self.modulus, self.p))]
-                  for b in coeffs)
-            for a in coeffs
-        )
-        neg = [0] * q
-        inv = [None] * q
-        for a in range(q):
-            for b in range(q):
-                if self.add_table[a][b] == 0:
-                    neg[a] = b
-                if a and self.mul_table[a][b] == 1:
-                    inv[a] = b
-        self.neg_table = tuple(neg)
-        self.inv_table = tuple(inv)
+        self.neg_table = tuple(row.index(0) for row in self.add_table)
+        self.inv_table = (None,) + tuple(exp[-la % (q - 1)] for la in logs)
 
     @property
     def elements(self) -> range:

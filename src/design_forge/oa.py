@@ -64,22 +64,23 @@ def _built_array(strength: int, columns: int, alphabet: int, rows) -> Orthogonal
 def mols_complete(q: int) -> list[LatinSquare]:
     """The complete family of q-1 mutually orthogonal Latin squares
     L_a(i, j) = a*i + j over GF(q), for a = 1..q-1: entry (i, j) of L_a is
-    column i of oa_square(q)'s row (a, j), so its ceiling applies."""
+    column i of oa_square(q)'s row (a, j), so L_a is the transpose of the q
+    rows of multiplier a, and oa_square's ceiling applies."""
     rows = oa_square(q).rows
-    return [
-        LatinSquare(q, tuple(tuple(rows[a * q + j][i] for j in range(q)) for i in range(q)))
-        for a in range(1, q)
-    ]
+    return [LatinSquare(q, tuple(zip(*rows[a * q:a * q + q]))) for a in range(1, q)]
 
 
 def oa_square(q: int) -> OrthogonalArray:
     """OA(2, q, q): row (a, b) holds a*x_i + b at column i for x_i = i in GF(q).
-    Its q^2 x q entries are held to the word ceiling before the field is built."""
+    Its q^2 x q entries are held to the word ceiling before the field is built.
+    The row is read off the field's tables: mul_table[a] lists a*x over the
+    columns, and add_table[b] maps each product to itself plus b."""
     _within_ceiling(q * q * q, "array entries", _word_ceiling(None))
     f = field_create(q)
+    add = f.add_table
     rows = tuple(
-        tuple(f.add(f.mul(a, x), b) for x in range(q))
-        for a in range(q) for b in range(q)
+        tuple(map(add[b].__getitem__, products))
+        for products in f.mul_table for b in range(q)
     )
     return _built_array(2, q, q, rows)
 

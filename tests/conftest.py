@@ -244,6 +244,39 @@ def build_sum_large_set(g: int, t: int) -> LargeSet:
     return LargeSet(MixedAlphabet((g + 1,) * (t + 1)), t, t + 1, copies)
 
 
+@cache
+def reference_field(p: int, modulus: tuple[int, ...]):
+    """The tables (add, mul, neg, inv) of GF(p^m) by schoolbook polynomial
+    arithmetic modulo the monic `modulus` (coefficients little-endian, the
+    leading 1 last), over labels whose little-endian base-p digits are the
+    coefficients; inv[0] is None.  It shares no code with
+    design_forge.fields, whose tables it is checked against."""
+    m = len(modulus) - 1
+    q = p**m
+    polys = [[label // p**i % p for i in range(m)] for label in range(q)]
+
+    def label(coeffs):
+        return sum(c % p * p**i for i, c in enumerate(coeffs))
+
+    def times(a, b):
+        product = [0] * (2 * m - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+        # x^top = x^(top-m) * x^m, and x^m = -(modulus without its leading 1)
+        for top in range(2 * m - 2, m - 1, -1):
+            c = product[top] % p
+            for j in range(m):
+                product[top - m + j] -= c * modulus[j]
+        return label(product[:m])
+
+    add = tuple(tuple(label(map(sum, zip(a, b))) for b in polys) for a in polys)
+    mul = tuple(tuple(times(a, b) for b in polys) for a in polys)
+    neg = tuple(label(-c for c in a) for a in polys)
+    inv = (None,) + tuple(row.index(1) for row in mul[1:])
+    return add, mul, neg, inv
+
+
 @pytest.fixture
 def toy_large_set() -> LargeSet:
     return build_toy_large_set()

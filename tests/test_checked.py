@@ -117,14 +117,17 @@ def test_resolvable_affine_refuses_a_changed_field_table(monkeypatch, checked):
     class Tampered:
         def __init__(self, field):
             self.field = field
-            self.mul = field.mul
-            self.calls = 0
+            self.mul_table = field.mul_table
+            self.add_table = self
+            self.reads = 0
 
-        def add(self, a, b):
-            # lines are built slope by slope, then intercept, then x: call
-            # 28 of GF(5) is the point at x = 2 on y = x, which moves to y = 3
-            self.calls += 1
-            return self.field.add(a, b + (self.calls == 28))
+        def __getitem__(self, b):
+            # lines are built slope by slope, then intercept, each reading
+            # add_table[intercept]: read 6 of GF(5) is the line y = x, whose
+            # point at x = 2 moves to y = 3
+            self.reads += 1
+            row = self.field.add_table[b]
+            return row[:2] + (3,) + row[3:] if self.reads == 6 else row
 
     monkeypatch.setattr(oa_module, "field_create", lambda q: Tampered(real(q)))
     with pytest.raises(ConstructionFailed) as err:

@@ -5,8 +5,15 @@ from __future__ import annotations
 import pytest
 
 from design_forge import FiniteField, NotPrimePower, field_create, prime_power
+from tests.conftest import reference_field
 
-FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
+FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]
+
+# every prime power up to 64, then two odd squares, a cube and 2^7
+REFERENCE_ORDERS = [
+    2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41,
+    43, 47, 49, 53, 59, 61, 64, 81, 121, 125, 128,
+]
 
 
 def test_prime_power_factors():
@@ -90,6 +97,18 @@ def test_field_axioms_exhaustive(q):
                 assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
                 assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+@pytest.mark.parametrize("q", REFERENCE_ORDERS)
+def test_tables_equal_schoolbook_arithmetic(q):
+    f = field_create(q)
+    add, mul, neg, inv = reference_field(f.p, f.modulus)
+    # no zero divisors: the modulus is irreducible and the reference a field
+    assert all(sorted(row) == list(range(q)) for row in mul[1:])
+    assert f.add_table == add
+    assert f.mul_table == mul
+    assert f.neg_table == neg
+    assert f.inv_table == inv
 
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)

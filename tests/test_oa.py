@@ -16,6 +16,7 @@ from design_forge import (
     OrthogonalArray,
     StrengthExceedsColumns,
     VerificationLimitExceeded,
+    field_create,
     mols_complete,
     oa_extended,
     oa_square,
@@ -26,9 +27,18 @@ from design_forge import (
 )
 from design_forge.core import first_miscount
 from design_forge.verify import Counterexample, VerificationReport, _within_ceiling, _word_ceiling
-from tests.conftest import load_oa
+from tests.conftest import load_oa, reference_field
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9]
+PINNED_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+def _affine(q):
+    """f(a, x, b) = a*x + b in GF(q), by the schoolbook reference field over
+    the package's modulus."""
+    field = field_create(q)
+    add, mul, _, _ = reference_field(field.p, field.modulus)
+    return lambda a, x, b: add[mul[a][x]][b]
 
 
 @pytest.mark.parametrize("q", ORDERS)
@@ -66,6 +76,32 @@ def test_oa_extended_shape_and_strength(q):
 def test_oa_extended_2_frozen():
     # Rows (a, b) give (b, a+b) plus the multiplier a appended last.
     assert oa_extended(2).rows == ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))
+
+
+@pytest.mark.parametrize("q", PINNED_ORDERS)
+def test_oa_square_rows_are_a_x_plus_b(q):
+    f = _affine(q)
+    assert oa_square(q).rows == tuple(
+        tuple(f(a, x, b) for x in range(q)) for a, b in product(range(q), repeat=2)
+    )
+
+
+@pytest.mark.parametrize("q", PINNED_ORDERS)
+def test_oa_extended_rows_are_a_x_plus_b_then_a(q):
+    f = _affine(q)
+    assert oa_extended(q).rows == tuple(
+        tuple(f(a, x, b) for x in range(q)) + (a,) for a, b in product(range(q), repeat=2)
+    )
+
+
+@pytest.mark.parametrize("q", PINNED_ORDERS)
+def test_mols_complete_squares_are_a_i_plus_j(q):
+    f = _affine(q)
+    squares = mols_complete(q)
+    assert [s.order for s in squares] == [q] * (q - 1)
+    assert [s.grid for s in squares] == [
+        tuple(tuple(f(a, i, j) for j in range(q)) for i in range(q)) for a in range(1, q)
+    ]
 
 
 @pytest.mark.parametrize("q", [6, 10, 12])
