@@ -12,6 +12,7 @@ Conventions shared by every construction here:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import getitem, mul
@@ -56,14 +57,20 @@ from .verify import (
 # --------------------------------------------------------------------------
 
 def _checked(
-    design: MixedDesign, required: int | None = None, resolution: Resolution | None = None
+    alphabet: MixedAlphabet, t: int, k: int, supports, meta: str,
+    required: int | None = None, resolution: Resolution | None = None,
 ) -> MixedDesign:
-    """The one output check every builder returns through: exact coverage
-    of the design's weight-t words, minimum distance >= `required` when it
-    is given, and, when a resolution is given, that it resolves the design.
-    The passing design report is attached as design.report; a failing
-    report raises ConstructionFailed carrying it.  The word and block-pair
-    ceiling of the verifiers applies (VerificationLimitExceeded)."""
+    """The one place where a builder's design is made and checked.  The
+    supports are wrapped without Codeword's check of each block
+    (core._valid_codewords), so they must pass it as they stand: each
+    builder says why its supports come out sorted.  The design is then checked in
+    full: its fit to the alphabet, exact coverage of its weight-t words,
+    minimum distance >= `required` when it is given, and, when a resolution
+    is given, that it resolves the design.  The passing design report is
+    attached as design.report; a failing report raises ConstructionFailed
+    carrying it.  The word and block-pair ceiling of the verifiers applies
+    (VerificationLimitExceeded)."""
+    design = MixedDesign(alphabet, t, k, _valid_codewords(supports), meta=meta)
     report = _verify_design(design, required, _word_ceiling(None))
     if report.ok and resolution is not None:
         rep = verify_resolution(design, resolution)
@@ -132,11 +139,13 @@ def ms1_construct(sizes, k: int) -> MixedDesign:
     1. the arithmetic of ms1_feasible: Infeasible when it fails;
     2. three closed-form bounds (_ms1_bound): NoSuchSystem naming the bound
        and its witness when one fails;
-    3. the greedy: repeatedly emit a block holding one fresh nonzero symbol
+    3. the sum(q_i - 1) weight-1 words, one per block entry, held to the
+       word ceiling (VerificationLimitExceeded) before any route runs;
+    4. the greedy: repeatedly emit a block holding one fresh nonzero symbol
        from each of the k currently largest alphabets (ties broken by
        (current size, coordinate index), taking the largest), then
        decrement.  Its blocks are kept when no two share two coordinates;
-    4. otherwise, at k = 2, Havel-Hakimi (_ms1_graph), which step 2 makes
+    5. otherwise, at k = 2, Havel-Hakimi (_ms1_graph), which step 2 makes
        sure succeeds; at k >= 3 an exact search (_ms1_search) of at most
        MS1_SEARCH_NODES nodes: a design, NoSuchSystem("exhaustive-search")
        when it proves that none exists, or plain ConstructionFailed when
@@ -153,11 +162,14 @@ def ms1_construct(sizes, k: int) -> MixedDesign:
     refuted = _ms1_bound(d, k)
     if refuted is not None:
         raise _no_ms1(q, k, *refuted)
+    _within_ceiling(sum(d), "weight-1 words", _word_ceiling(None))
     blocks, how = _ms1_greedy(d, k), "greedy"
     if blocks is None and k == 2:
         blocks, how = _ms1_graph(d), "havel-hakimi"
     elif blocks is None:
         blocks, how = _ms1_search(d, k), "search"
+    # each route's block lists distinct coordinates in ascending order, and
+    # a coordinate's symbols are counted from 1, so each support is sorted
     used = [0] * len(q)
     supports = []
     for block in blocks:
@@ -166,14 +178,8 @@ def ms1_construct(sizes, k: int) -> MixedDesign:
             used[i] += 1
             support.append((i, used[i]))
         supports.append(tuple(support))
-    design = MixedDesign(
-        MixedAlphabet(tuple(q)),
-        1,
-        k,
-        _valid_codewords(supports),
-        meta=f"ms1 k={k} {how} over sorted sizes",
-    )
-    return _checked(design, 2 * k - 1)
+    meta = f"ms1 k={k} {how} over sorted sizes"
+    return _checked(MixedAlphabet(tuple(q)), 1, k, supports, meta, 2 * k - 1)
 
 
 def _no_ms1(q, k: int, bound: str, witness, detail: str) -> NoSuchSystem:
@@ -428,20 +434,15 @@ def construct_from_oa(k: int, r: int) -> MixedDesign:
     array = oa_square(k)
     # cells[i][s] is the entry of symbol s at column i: (i*k + s, 1) for
     # i < r, (r*k + (i - r), s + 1) after.  A row's entries, read column by
-    # column, are sorted and valid as they stand, since each symbol is in
-    # range(k) (see core._valid_codewords)
+    # column, are sorted: its binary points i*k + s rise with i below rk,
+    # since each symbol s is in range(k), and its nonbinary coordinates
+    # follow in order
     cells = [[(i * k + s, 1) for s in range(k)] for i in range(r)]
     cells += [[(r * k + (i - r), s + 1) for s in range(k)] for i in range(r, k)]
     blocks = [tuple(cells[i]) for i in range(r)]
     blocks += [tuple(map(getitem, cells, row)) for row in array.rows]
-    design = MixedDesign(
-        alphabet,
-        2,
-        k,
-        _valid_codewords(blocks),
-        meta=f"oa-gdd k={k} r={r}; 0-based (source blocks are 1-based over 1..k)",
-    )
-    return _checked(design, k + r - 2)
+    meta = f"oa-gdd k={k} r={r}; 0-based (source blocks are 1-based over 1..k)"
+    return _checked(alphabet, 2, k, blocks, meta, k + r - 2)
 
 
 # --------------------------------------------------------------------------
@@ -560,8 +561,7 @@ def _combine(cover: PartitionedCover, meta: str) -> MixedDesign:
     for ci, cls in enumerate(cover.classes, start=1):
         last = ((cover.n, ci),)
         blocks += [tuple(map(entry, b)) + last for b in cls]
-    design = MixedDesign(alphabet, cover.t, cover.k, _valid_codewords(blocks), meta=meta)
-    return _checked(design, 2 * (cover.k - cover.t) + 1)
+    return _checked(alphabet, cover.t, cover.k, blocks, meta, 2 * (cover.k - cover.t) + 1)
 
 
 # --------------------------------------------------------------------------
@@ -577,19 +577,15 @@ def resolvable_affine(q: int) -> tuple[MixedDesign, Resolution]:
     is built; the output is checked at distance 2(q - 2) + 1 together with
     its resolution."""
     _words_within_ceiling(((1, q * q),), 2)
-    # cells[x][y] is the entry of point (x, y); the vertical lines are the cells
+    # cells[x][y] is the entry of point (x, y); the vertical lines are the
+    # cells.  Each line lists its points x*q + y ordered by x, so it is sorted
     cells = [[(x * q + y, 1) for y in range(q)] for x in range(q)]
     lines = [tuple(map(getitem, cells, row)) for row in oa_square(q).rows]
     lines += map(tuple, cells)
-    design = MixedDesign(
-        MixedAlphabet((2,) * (q * q)),
-        2,
-        q,
-        _valid_codewords(lines),
-        meta=f"affine plane order {q}",
-    )
     resolution = Resolution(tuple(tuple(range(m * q, m * q + q)) for m in range(q + 1)))
-    return _checked(design, 2 * (q - 2) + 1, resolution), resolution
+    meta = f"affine plane order {q}"
+    plane = _checked(MixedAlphabet((2,) * (q * q)), 2, q, lines, meta, 2 * (q - 2) + 1, resolution)
+    return plane, resolution
 
 
 def _replaced_in_range(resolution: Resolution, i: int) -> None:
@@ -706,20 +702,11 @@ def largeset_to_gdd(ls: LargeSet) -> MixedDesign:
     alphabet = MixedAlphabet(ls.alphabet.sizes + (h + 1,))
     # the copies' blocks fit coordinates 0..n-1, so (n, j >= 1) appended
     # last keeps each support valid and sorted
-    blocks = _valid_codewords([
-        b.support + ((n, j),)
-        for j, copy in enumerate(ls.copies, start=1)
-        for b in copy
-    ])
-    design = MixedDesign(
-        alphabet,
-        ls.t + 1,
-        ls.k + 1,
-        blocks,
-        meta=f"large set folded at hole coordinate {n}",
-    )
+    blocks = [b.support + ((n, j),) for j, copy in enumerate(ls.copies, start=1) for b in copy]
     try:
-        return _checked(design)
+        return _checked(
+            alphabet, ls.t + 1, ls.k + 1, blocks, f"large set folded at hole coordinate {n}"
+        )
     except ConstructionFailed as exc:
         raise LargeSetInvalid(
             f"input is not a large set, its fold fails the GDD check: "
@@ -832,9 +819,24 @@ def gdd_catalog(g_values=range(2, 14), h_values=range(1, 5), ell_values=range(1,
 
 def _catalog_count(g_values, h_values, ell_values) -> int:
     """The number of records _catalog_records makes, held to the word
-    ceiling before any is made."""
+    ceiling before any is made.  Then the largest number the records of
+    LH(5*2^ell, 9h, 4, 3) print, their fold's point count 9h(10*2^ell - 3)
+    at the largest h and ell, is held to the interpreter's limit on the
+    digits of an int written as a string (0: no limit), so that a catalog
+    is refused before its first line rather than part way through.  That
+    limit is 0 or at least 640 digits, which no other record reaches below
+    the ceiling."""
     count = 5 * len(g_values) + 1 + len(h_values) * (2 + len(ell_values))
-    return _within_ceiling(count, "catalog records", _word_ceiling(None))
+    _within_ceiling(count, "catalog records", _word_ceiling(None))
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # from Python 3.10.7
+    if limit and h_values and ell_values:
+        h, ell = max(h_values), max(ell_values)
+        if 9 * h * (10 * 2**ell - 3) >= 10**limit:
+            raise ValueError(
+                f"the point count 9h(10*2^ell - 3) at h = {h}, ell = {ell} exceeds the "
+                f"limit ({limit} digits) for integer string conversion"
+            )
+    return count
 
 
 def _catalog_records(g_values, h_values, ell_values):

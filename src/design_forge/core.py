@@ -31,11 +31,8 @@ class Codeword:
         """The check of a support's entries on every direct call: 2-item
         lists or tuples of int (not bool), distinct coordinates >= 0 and
         symbols >= 1, kept sorted whatever order a caller passes them in.
-        Supports known to pass it skip it through _valid_codewords: the
-        readers' compact block lists, the large-set fold and slice, and
-        every builder, whose supports are sorted by construction
-        (ms1_construct, construct_from_oa, resolvable_affine and the
-        hybrid and combine_partition; see _valid_codewords)."""
+        Supports known to pass it skip it through _valid_codewords (see
+        there for its three callers)."""
         pairs = []
         for p in self.support:
             if not (isinstance(p, (tuple, list)) and len(p) == 2
@@ -74,24 +71,15 @@ def _valid_codewords(supports: list) -> tuple[Codeword, ...]:
     stand: tuples of sorted (c, s) int pairs with distinct coordinates
     >= 0 and symbols >= 1.  __post_init__ is not run, so a caller uses this
     only where its own checks or the blocks it derives from establish that.
-    The builders' supports qualify by construction:
+    Its three callers:
 
-    * ms1_construct: each route's block lists distinct coordinates in
-      ascending order, and a coordinate's symbols are counted from 1;
-    * construct_from_oa: a row block lists binary points i*k + row[i] for
-      i < r, rising with i below rk since row[i] is in range(k), then the
-      nonbinary coordinates rk + (i - r) in order, with symbols row[i] + 1;
-    * resolvable_affine: each line lists its points x*q + y ordered by x;
-    * the hybrid and combine_partition (constructions._combine): each
-      block's points are distinct ints in range(n), sorted, with (n, i >= 1)
-      appended last.  combine_partition sorts a caller's cover after its
-      checks.  expand_design sorts nothing: it maps the sorted blocks of the
-      base system and of the OA(2, k, k-1) through the increasing map
-      c*(k-1) + j -> x_c*(k-1) + j of a block x_0 < .. < x_{k-1}, which
-      keeps them sorted.
-
-    Each design they build is still checked in full before it is returned:
-    its fit to the alphabet, coverage and distance (constructions._checked)."""
+    * the compact reader of block lists (formats), whose own pass has
+      checked every entry;
+    * gdd_to_largeset's slice, whose supports drop the hole pair of blocks
+      already checked, shifting later coordinates down by one;
+    * constructions._checked, the one place where a builder's design is
+      made: each builder says why its supports come out sorted, and the
+      design is checked in full before it is returned."""
     words = list(map(object.__new__, repeat(Codeword, len(supports))))
     list(map(object.__setattr__, words, repeat("support"), supports))
     return tuple(words)

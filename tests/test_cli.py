@@ -351,6 +351,10 @@ def test_verify_hostile_json_fails_fast_within_1_gb(tmp_path, claim, text, code,
         # 5 records per g, 1 sporadic, 2 + 3 per h
         (["catalog", "--g-max", "100000000"],
          "500000016 catalog records exceed the ceiling 100000000"),
+        # 15000 coordinates of 14999 nonzero symbols each, before any route
+        # lists a block
+        (["construct", "--family", "ms1", "--alphabet", ",".join(["15000"] * 15000), "--k", "2"],
+         "224985000 weight-1 words exceed the ceiling 100000000"),
     ],
 )
 def test_huge_requests_are_counted_from_their_parameters_within_1_gb(tmp_path, argv, message):
@@ -775,6 +779,21 @@ def test_catalog_records_are_held_to_the_ceiling(ceiling, code):
         )
     else:
         assert len(result.stdout.splitlines()) == 81
+
+
+def test_catalog_refuses_a_number_too_long_to_print_before_it_writes(tmp_path):
+    # 57177 records pass the ceiling, but the last one's point count,
+    # 36(10*2^14277 - 3), has more digits than an int may print by default
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300")
+    out = tmp_path / "cat.txt"
+    for extra in ([], ["-o", str(out)]):
+        result = run_cli("catalog", "--ell-max", "14277", *extra, env=env)
+        assert result.returncode == 2
+        assert (result.stdout, result.stderr) == ("", (
+            "error: the point count 9h(10*2^ell - 3) at h = 4, ell = 14277 exceeds the "
+            "limit (4300 digits) for integer string conversion\n"
+        ))
+    assert not out.exists()
 
 
 def test_catalog_range_flags():

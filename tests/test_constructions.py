@@ -22,13 +22,16 @@ from design_forge import (
     NotPrimePower,
     PartitionedCover,
     ROutOfRange,
+    VerificationLimitExceeded,
     base_system,
     combine_partition,
     construct_from_oa,
     construct_hybrid_ms,
     constructions,
     design_to_json,
+    gdd_to_largeset,
     gdd_type_of,
+    largeset_to_gdd,
     min_distance,
     ms1_construct,
     ms1_feasible,
@@ -38,7 +41,7 @@ from design_forge import (
     verify_gdd,
     verify_mixed_steiner,
 )
-from tests.conftest import build_ag33_lines, build_kts15
+from tests.conftest import build_ag33_lines, build_kts15, build_sum_large_set
 
 # ---------------------------------------------------------------- weight-1
 
@@ -440,8 +443,14 @@ def test_construct_hybrid_ms_makes_the_supports_codeword_would(build):
         lambda: resolvable_affine(4)[0],
         lambda: construct_hybrid_ms(*resolvable_affine(3), 1),
         lambda: combine_partition(base_system(4)),
+        lambda: _ms1_by("greedy", (2, 2, 2, 2, 3), 3),
+        lambda: _ms1_by("havel-hakimi", (2, 2, 3, 3), 2),
+        lambda: _ms1_by("search", (2, 2, 2, 3, 3, 3), 3),
+        lambda: largeset_to_gdd(SUM_LARGE_SET),
+        lambda: _sliced_and_folded_again(SUM_LARGE_SET),
     ],
-    ids=["oa-gdd", "affine", "hybrid", "combine"],
+    ids=["oa-gdd", "affine", "hybrid", "combine", "ms1-greedy", "ms1-havel-hakimi",
+         "ms1-search", "fold", "slice"],
 )
 def test_builders_do_not_check_their_blocks_one_by_one(monkeypatch, build):
     def checked(self):
@@ -449,6 +458,23 @@ def test_builders_do_not_check_their_blocks_one_by_one(monkeypatch, build):
 
     monkeypatch.setattr(Codeword, "__post_init__", checked)
     assert build().report.ok
+
+
+# built before any test patches Codeword's check
+SUM_LARGE_SET = build_sum_large_set(4, 3)
+
+
+def _ms1_by(route: str, sizes, k: int):
+    design = ms1_construct(sizes, k)
+    assert design.meta == f"ms1 k={k} {route} over sorted sizes"
+    return design
+
+
+def _sliced_and_folded_again(ls):
+    """gdd_to_largeset on the fold of ls, which gives ls back, folded again."""
+    sliced = gdd_to_largeset(largeset_to_gdd(ls))
+    assert sliced == ls
+    return largeset_to_gdd(sliced)
 
 
 @pytest.mark.parametrize(
@@ -471,6 +497,27 @@ def test_ms1_construct_refuses_a_route_whose_blocks_share_two_coordinates(
     assert not isinstance(err.value, NoSuchSystem)
     assert err.value.report.counterexample.kind == "distance"
     assert err.value.report.counterexample.distance == 2 * k - 2
+
+
+def test_ms1_construct_holds_its_weight_1_words_to_the_ceiling_before_any_route(monkeypatch):
+    # (3,)^9 at k = 2 has 18 weight-1 words, one per nonzero symbol; the
+    # sizes alone refuse them, before a route lists any block
+    def route(*args):
+        raise AssertionError("a route ran")
+
+    with monkeypatch.context() as m:
+        for name in ("_ms1_greedy", "_ms1_graph", "_ms1_search"):
+            m.setattr(constructions, name, route)
+        m.setenv("DESIGN_FORGE_MAX_WORDS", "17")
+        with pytest.raises(
+            VerificationLimitExceeded, match="^18 weight-1 words exceed the ceiling 17$"
+        ):
+            ms1_construct((3,) * 9, 2)
+        m.setenv("DESIGN_FORGE_MAX_WORDS", "18")
+        with pytest.raises(AssertionError, match="a route ran"):
+            ms1_construct((3,) * 9, 2)
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "18")
+    assert len(ms1_construct((3,) * 9, 2).blocks) == 9
 
 
 # ------------------------------------------------------------- OA designs

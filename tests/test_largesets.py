@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -290,6 +291,21 @@ def test_catalog_hole_sizes_follow_the_fold():
 )
 def test_catalog_counts_the_records_it_makes(ranges):
     assert constructions._catalog_count(*ranges) == len(gdd_catalog(*ranges))
+
+
+def test_catalog_count_holds_the_largest_number_to_the_digit_limit(monkeypatch):
+    # the last record at h = 4, ell = 14275 prints 36(10*2^14275 - 3), of
+    # 4300 digits; at ell = 14276 it would print 4301
+    assert 10**4299 <= 36 * (10 * 2**14275 - 3) < 10**4300 <= 36 * (10 * 2**14276 - 3)
+    g_values, h_values = range(2, 14), range(1, 5)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    assert constructions._catalog_count(g_values, h_values, range(1, 14276)) == 57169
+    with pytest.raises(ValueError, match=r"ell = 14276 exceeds the limit \(4300 digits\)"):
+        constructions._catalog_count(g_values, h_values, range(1, 14277))
+    # no h, so no record at any ell; and 0 is no limit
+    assert constructions._catalog_count(g_values, range(1, 1), range(1, 14277)) == 61
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert constructions._catalog_count(g_values, h_values, range(1, 14278)) == 57177
 
 
 def _source_lambdas(n: int, g: int, t: int) -> list[Fraction]:
