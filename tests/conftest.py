@@ -28,6 +28,7 @@ from design_forge import (
     construct_from_oa,
     construct_hybrid_ms,
     hamming_distance,
+    largeset_to_gdd,
     ms1_construct,
     oa_from_text,
     resolvable_affine,
@@ -195,11 +196,25 @@ def build_ag34_lines() -> tuple[MixedDesign, Resolution]:
     return _resolvable(classes, 64, "AG(3,4) lines")
 
 
+def build_boolean_sqs(m: int) -> MixedDesign:
+    """The Boolean SQS(2^m), an S(3, 4, 2^m) over binary coordinates: its
+    blocks are the planes {a, b, c, a ^ b ^ c} of AG(m, 2), point x being
+    coordinate x."""
+    n = 2**m
+    planes = {
+        tuple(sorted({a, b, c, a ^ b ^ c}))
+        for a, b, c in combinations(range(n), 3)
+    }
+    blocks = tuple(Codeword(tuple((p, 1) for p in plane)) for plane in sorted(planes))
+    return MixedDesign(MixedAlphabet((2,) * n), 3, 4, blocks, meta=f"Boolean SQS({n})")
+
+
 @cache
 def verified_roster() -> tuple[MixedDesign, ...]:
     """Designs that pass coverage: MS(1, k, Q) over small alphabets, affine
     planes, hybrids at every i, combined base systems, OA GDDs at every r,
-    and hybrids over KTS(15) and the lines of AG(3, 3)."""
+    hybrids over KTS(15) and the lines of AG(3, 3), and at t >= 3 the folds
+    of three large sets LH(t+1, g, t+1, t) and the Boolean SQS(16)."""
     designs = []
     for n in range(1, 6):
         for sizes in combinations_with_replacement((2, 3, 4), n):
@@ -219,6 +234,8 @@ def verified_roster() -> tuple[MixedDesign, ...]:
     # and one whose two blocks share two coordinates (distance 4 < 2k - 1)
     shared = (Codeword(((0, 1), (2, 1), (3, 1))), Codeword(((1, 1), (2, 2), (3, 2))))
     designs.append(MixedDesign(MixedAlphabet((2, 2, 3, 3)), 1, 3, shared))
+    designs += [largeset_to_gdd(build_sum_large_set(g, t)) for g, t in ((2, 3), (3, 3), (2, 4))]
+    designs.append(build_boolean_sqs(4))
     return tuple(designs)
 
 
