@@ -357,13 +357,12 @@ def _type_word_count(pairs, t: int) -> int:
 
 
 def first_miscount(items: list, total: int, ordered, want: int = 1):
-    """The exactly-once kernel of coverage at t = 1, of the strength and
-    parallel-class checks, and of verify._set_miscount, which counts
-    coverage at t >= 3 and large-set multiplicity through it, one
-    coordinate set at a time or, where the words are few per set or are
-    the blocks themselves, all at once (verify._pair_miscount counts
-    weight-2 coverage in packed form, one bit or one byte per word): None
-    when the items hold each of the `total` elements that `ordered()`
+    """The exactly-once kernel of coverage at t != 2 and of the
+    multiplicity, strength and parallel-class checks (verify._pair_miscount
+    counts weight-2 coverage in packed form, one bit or one byte per word,
+    and verify._set_miscount calls this once per coordinate t-set where
+    t >= 3 and every block lies on all n coordinates):
+    None when the items hold each of the `total` elements that `ordered()`
     yields exactly `want` times, otherwise (element, count) for the first
     element in that order whose count differs.  The accept test only
     counts, so every item must be one of those elements.  `ordered` is

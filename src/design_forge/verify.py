@@ -10,10 +10,9 @@ packed in one bit per word plus one int per (coordinate, symbol) entry, or
 in one byte per word on an alphabet too wide for bitmasks, so that ceiling
 also bounds its memory, and one rule reads the first violator from either
 packing.  Coverage at t >= 3 is counted one coordinate set at a time where
-the blocks lie on every coordinate or the words are many per set, so that
-only one set's words are held at once.  The mixed Steiner distance pass,
-run only where counting cannot settle the distance, is guarded by the same
-ceiling on block pairs.
+the blocks lie on every coordinate, so that only one set's words are held
+at once.  The mixed Steiner distance pass, run only where counting cannot
+settle the distance, is guarded by the same ceiling on block pairs.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations, count, product
+from itertools import accumulate, combinations, product
 from operator import attrgetter, itemgetter
 
 from .core import (
@@ -111,18 +109,19 @@ def _coverage_counterexample(alphabet: MixedAlphabet, t: int, blocks, ceiling: i
 ]:
     """Exactly-once coverage of every weight-t word over the alphabet by the
     blocks, counted over the blocks' weight-t subwords (O(blocks * C(k, t)))
-    against the closed-form total: at t = 1 by core.first_miscount over the
-    blocks' entries, at t = 2 by _pair_miscount and at t >= 3 by
-    _set_miscount, one coordinate set at a time; only the violator becomes a
-    Codeword."""
+    against the closed-form total: at t = 2 by _pair_miscount, at
+    3 <= t < k by _set_miscount, one coordinate set at a time, when the
+    blocks lie on all n coordinates (as in the fold of an LH(n, g, n, n-1)),
+    and otherwise by core.first_miscount over all the subwords at once;
+    only the violator becomes a Codeword."""
     total = _within_ceiling(word_count(alphabet, t), f"weight-{t} words", ceiling)
     if t == 2:
         bad = _pair_miscount(alphabet, blocks, total)
-    elif t == 1:
+    elif t >= 3 and blocks and t < len(blocks[0].support) == alphabet.n:
+        bad = _set_miscount(alphabet, t, list(map(attrgetter("support"), blocks)))
+    else:
         subwords = [w for b in blocks for w in combinations(b.support, t)]
         bad = first_miscount(subwords, total, lambda: word_supports(alphabet, t))
-    else:
-        bad = _set_miscount(alphabet, t, list(map(attrgetter("support"), blocks)), total)
     if bad is None:
         return None, total
     support, c = bad
@@ -137,68 +136,25 @@ def _coverage_counterexample(alphabet: MixedAlphabet, t: int, blocks, ceiling: i
     )
 
 
-# words per coordinate t-set, on average, from which blocks on fewer than all
-# n coordinates are counted one set at a time.  Below it, sorting them into
-# runs and counting set by set costs more than counting their subwords flat
-# (the Boolean SQS(16) with each point a group of g, on a 2-CPU VM, set by
-# set against flat: 97 against 92 ms at g = 8, 512 words per set; 480
-# against 542 ms at g = 12, 1728 per set)
-_SET_WORDS = 1024
+def _set_miscount(alphabet: MixedAlphabet, t: int, supports: list):
+    """first_miscount of the weight-t subwords of the supports, each of
+    which lies on all n coordinates (3 <= t < n), against every weight-t
+    word of the alphabet once: None on accept, else (word, count) for the
+    first word in word_supports order whose count differs.
 
-
-def _set_miscount(alphabet: MixedAlphabet, t: int, supports: list, total: int, want: int = 1):
-    """first_miscount of the weight-t subwords of the supports, all of one
-    weight k >= t, against the `total` weight-t words of the alphabet, each
-    wanted `want` times: None on accept, else (word, count) for the first
-    word in word_supports order whose count differs.
-
-    At t = k each support is its own one subword, so the supports are
-    counted as they stand.  Blocks on fewer than all n coordinates whose
-    words average fewer than _SET_WORDS per coordinate t-set (an SQS has
-    one) have their subwords built as tuples of entries and counted flat.
-    Otherwise the supports are cut into symbol columns (zip and itemgetter
-    maps, no Python loop per block) and grouped into runs of one coordinate
-    k-set: one run when k = n, else by a stable sort on the k-set, so that
-    a run's words on a t-subset of its positions are the zip of its
-    columns there.  The t-sets C are then taken in combinations order,
-    each counted by first_miscount over the symbol tuples on C against the
-    product of C's symbol ranges.  Only C's words
-    are alive at a time, and a rejection stops at the first C that is
-    absent or miscounted, having walked only C's product; every earlier C
-    held each of its words `want` times, so its violator is the first in
-    the whole word order."""
-    sizes, n, b = alphabet.sizes, alphabet.n, len(supports)
-    k = len(supports[0]) if b else t
-    if k == t or k < n and total < _SET_WORDS * math.comb(n, t):
-        subwords = supports if k == t else [w for s in supports for w in combinations(s, t)]
-        return first_miscount(subwords, total, lambda: word_supports(alphabet, t), want)
-    columns = list(zip(*supports))
-    symbols = [tuple(map(itemgetter(1), col)) for col in columns]
-    if k == n:
-        runs = [(tuple(range(n)), symbols)]
-    else:
-        keys = list(zip(*(map(itemgetter(0), col) for col in columns)))
-        sets = sorted(Counter(keys).items())
-        rank = dict(zip(map(itemgetter(0), sets), count()))
-        order = sorted(range(b), key=list(map(rank.__getitem__, keys)).__getitem__)
-        symbols = [tuple(map(col.__getitem__, order)) for col in symbols]
-        ends = list(accumulate(map(itemgetter(1), sets)))
-        runs = [
-            (key, [col[lo:hi] for col in symbols])
-            for (key, _), lo, hi in zip(sets, [0, *ends], ends)
-        ]
-        del keys, sets, order
-    del columns, symbols
-    getters = [itemgetter(*p) for p in combinations(range(k), t)]
-    on = {}  # coordinate t-set -> the column tuples of its words, one per run
-    for key, cols in runs:
-        for get in getters:
-            on.setdefault(get(key), []).append(get(cols))
-    del runs, cols
-    for c in combinations(range(n), t):
-        ranges = [range(1, sizes[x]) for x in c]
-        words = chain.from_iterable(zip(*cols) for cols in on.pop(c, ()))
-        bad = first_miscount(list(words), math.prod(map(len, ranges)), lambda: product(*ranges), want)
+    The supports are cut into symbol columns (zip and itemgetter maps, no
+    Python loop per block), and the t-sets C are taken in combinations
+    order, each counted by first_miscount over the symbol tuples zipped
+    from C's columns against the product of C's symbol ranges.  Only C's
+    words are alive at a time, and a rejection stops at the first C that
+    is miscounted, having walked only C's product; every earlier C held
+    each of its words once, so its violator is the first in the whole
+    word order."""
+    symbols = [tuple(map(itemgetter(1), col)) for col in zip(*supports)]
+    for c in combinations(range(alphabet.n), t):
+        ranges = [range(1, alphabet.sizes[x]) for x in c]
+        words = zip(*map(symbols.__getitem__, c))
+        bad = first_miscount(list(words), math.prod(map(len, ranges)), lambda: product(*ranges))
         if bad is not None:
             return tuple(zip(c, bad[0])), bad[1]
     return None
@@ -503,9 +459,7 @@ def verify_large_set(ls: LargeSet, max_words: int | None = None) -> Verification
     """Large-set check: every weight-k word over the alphabet is a block of
     exactly lam copies, and each copy separately covers every weight-t word
     once (the GDD check at strength t; LargeSet already holds t to 1..k and
-    k to the n coordinates).  The multiplicity is _set_miscount at t = k
-    over each copy's distinct blocks, which are counted as they stand, and
-    each copy's coverage is counted as in _coverage_counterexample."""
+    k to the n coordinates)."""
     ceiling = _word_ceiling(max_words)
     total = _within_ceiling(word_count(ls.alphabet, ls.k), f"weight-{ls.k} words", ceiling)
     stats = {
@@ -518,7 +472,7 @@ def verify_large_set(ls: LargeSet, max_words: int | None = None) -> Verification
     # a copy's distinct blocks, found by hashing their support tuples in C
     # rather than each Codeword through its generated Python __hash__
     members = [s for copy in ls.copies for s in set(map(attrgetter("support"), copy))]
-    miss = _set_miscount(ls.alphabet, ls.k, members, total, ls.lam)
+    miss = first_miscount(members, total, lambda: word_supports(ls.alphabet, ls.k), ls.lam)
     if miss is not None:
         support, c = miss
         bad = Counterexample(

@@ -1,11 +1,12 @@
-"""The t >= 3 and large-set multiplicity kernel against a brute-force oracle.
+"""Coverage at t >= 3 and large-set multiplicity against a brute-force oracle.
 
 The oracle counts every support's weight-t subwords in a Counter and walks
 the words in the contract's order, coordinate sets in combinations order
 and then symbol vectors in product order, to the first whose count is not
-the wanted one.  It uses no counting code of the package, so each path of
-verify._set_miscount (one coordinate set at a time, or flat where the words
-are few per set) is held to an independent answer.
+the wanted one.  It uses no counting code of the package, so both counts
+of verify._coverage_counterexample at t >= 3 (one coordinate set at a time
+through verify._set_miscount where every block lies on all n coordinates,
+else all subwords at once) are held to an independent answer.
 """
 
 from __future__ import annotations
@@ -37,16 +38,12 @@ def word_total(sizes, t):
     return sum(math.prod(sizes[c] - 1 for c in coords) for coords in combinations(range(len(sizes)), t))
 
 
-def kernel_paths(sizes, t, supports, monkeypatch, want=1):
-    """The answers of _set_miscount as its rule picks the path, with every
-    t < k count taken one set at a time, and with every count flat."""
-    alphabet = MixedAlphabet(sizes)
-    total = word_total(sizes, t)
-    answers = []
-    for words in (verify._SET_WORDS, 0, math.inf):
-        monkeypatch.setattr(verify, "_SET_WORDS", words)
-        answers.append(verify._set_miscount(alphabet, t, list(supports), total, want))
-    return tuple(answers)
+def counted(sizes, t, supports):
+    """(word, count) of the coverage counterexample, or None."""
+    blocks = [Codeword(s) for s in supports]
+    ce, total = verify._coverage_counterexample(MixedAlphabet(sizes), t, blocks, 10**9)
+    assert total == word_total(sizes, t)
+    return None if ce is None else (ce.word.support, ce.count)
 
 
 def fold(ls):
@@ -71,19 +68,6 @@ def mixed():
     return (5, 5, 5, 5, 2), run + singles
 
 
-def inflated(sqs, g):
-    """A GDD(3, 4) of type g^n from an SQS(n): each block's four points
-    carry the g^3 symbol vectors whose sum is 0 mod g (symbols 1..g), so
-    each block becomes one run of g^3 blocks on its coordinates."""
-    sizes = (g + 1,) * sqs.alphabet.n
-    blocks = [
-        tuple(zip(coords, (*syms, (-sum(syms)) % g + 1)))
-        for coords in ([c for c, _ in b.support] for b in sqs.blocks)
-        for syms in product(range(1, g + 1), repeat=3)
-    ]
-    return sizes, blocks
-
-
 def _designs():
     """name -> (sizes, supports, t, the answer before any edit)"""
     designs = {}
@@ -92,7 +76,6 @@ def _designs():
     for m in (4, 5):
         sqs = build_boolean_sqs(m)
         designs[f"Boolean SQS({2**m})"] = (sqs.alphabet.sizes, [b.support for b in sqs.blocks], 3, None)
-    designs["Boolean SQS(16), each point a group of 2"] = (*inflated(build_boolean_sqs(4), 2), 3, None)
     # the singleton on {0, 1, 2, 4} holds (1, 2, 3) on {0, 1, 2}, which the
     # large run covers too (1 + 2 + 3 + 2 is 0 mod 4), and the earlier words
     # there are covered once, by the large run alone
@@ -129,38 +112,21 @@ def edited(sizes, blocks, rng, edits):
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
 @pytest.mark.parametrize("edit", EDITS)
-def test_each_path_names_what_the_oracle_names(name, edit, monkeypatch):
+def test_the_count_names_what_the_oracle_names(name, edit):
     sizes, blocks, t, want = DESIGNS[name]
     assert oracle(sizes, t, blocks) == want
-    assert kernel_paths(sizes, t, blocks, monkeypatch) == (want,) * 3
+    assert counted(sizes, t, blocks) == want
     for seed in range(6):
         rng = random.Random(f"{name} {edit} {seed}")
         changed = edited(sizes, blocks, rng, [edit] * rng.randint(1, 3))
-        want = oracle(sizes, t, changed)
-        assert kernel_paths(sizes, t, changed, monkeypatch) == (want,) * 3
+        assert counted(sizes, t, changed) == oracle(sizes, t, changed)
 
 
-def test_an_empty_block_list_misses_the_first_word(monkeypatch):
+def test_an_empty_block_list_misses_the_first_word():
     sizes = (3, 3, 3, 3)
     want = (((0, 1), (1, 1), (2, 1)), 0)
     assert oracle(sizes, 3, []) == want
-    assert kernel_paths(sizes, 3, [], monkeypatch) == (want,) * 3
-
-
-@pytest.mark.parametrize("g, t", [(2, 3), (3, 3)])
-def test_twice_each_block_is_counted_against_want_2(g, t, monkeypatch):
-    # every block of a fold twice covers each word twice: want = 2 accepts,
-    # and the same seeded edits are named as the oracle names them
-    sizes, blocks = fold(build_sum_large_set(g, t))
-    twice = blocks * 2
-    assert kernel_paths(sizes, t + 1, twice, monkeypatch, want=2) == (None,) * 3
-    assert kernel_paths(sizes, t + 1, blocks, monkeypatch, want=2) == (oracle(sizes, t + 1, blocks, 2),) * 3
-    for edit in EDITS:
-        for seed in range(4):
-            rng = random.Random(f"twice {g} {t} {edit} {seed}")
-            changed = edited(sizes, twice, rng, [edit] * rng.randint(1, 3))
-            want = oracle(sizes, t + 1, changed, 2)
-            assert kernel_paths(sizes, t + 1, changed, monkeypatch, want=2) == (want,) * 3
+    assert counted(sizes, 3, []) == want
 
 
 def test_a_lambda_2_large_set_is_checked_against_the_oracle():
@@ -185,7 +151,7 @@ def test_a_lambda_2_large_set_is_checked_against_the_oracle():
 
 @pytest.fixture
 def counts_run(monkeypatch):
-    """The item lists that _set_miscount hands to first_miscount."""
+    """The item lists that verify hands to first_miscount."""
     ran = []
     real = verify.first_miscount
 
@@ -198,38 +164,32 @@ def counts_run(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "sizes, by_set",
+    "sizes, t, by_set",
     [
-        # blocks on all four coordinates are one run, counted set by set
-        # however few their words: at most 2 * 1 * 1 on a set here
-        ((3, 2, 2, 2), True),
-        # blocks on coordinates 0-3 of five: the C(5, 3) = 10 sets hold
-        # 10 * 11^3 words, at least 1024 per set, and 10 * 10^3 fewer
-        ((12,) * 5, True),
-        ((11,) * 5, False),
+        # blocks on all four coordinates, counted set by set
+        ((3, 2, 2, 2), 3, True),
+        # blocks on coordinates 0-3 of five, and blocks that are their own
+        # one weight-t word, counted flat
+        ((3, 2, 2, 2, 2), 3, False),
+        ((3, 2, 2, 2), 4, False),
     ],
 )
-def test_the_rule_picks_the_path(counts_run, sizes, by_set):
-    alphabet = MixedAlphabet(sizes)
-    total = word_total(sizes, 3)
-    assert (len(sizes) == 4 or total >= verify._SET_WORDS * math.comb(len(sizes), 3)) == by_set
+def test_the_rule_picks_the_path(counts_run, sizes, t, by_set):
     every = [tuple(zip(range(4), syms)) for syms in product(*(range(1, q) for q in sizes[:4]))]
     for blocks in (every, every[1:], every + every[:1]):
-        want = oracle(sizes, 3, blocks)
         counts_run.clear()
-        assert verify._set_miscount(alphabet, 3, blocks, total) == want
+        assert counted(sizes, t, blocks) == oracle(sizes, t, blocks)
         if by_set:
             # one count per coordinate set, of symbol tuples, up to the first bad one
-            assert counts_run and all(len(s) == 3 and all(type(x) is int for x in s) for items in counts_run for s in items)
+            assert counts_run and all(len(s) == t and all(type(x) is int for x in s) for items in counts_run for s in items)
         else:
-            assert len(counts_run) == 1 and len(counts_run[0]) == 4 * len(blocks)
+            assert counts_run == [[w for b in blocks for w in combinations(b, t)]]
 
 
 def test_a_reject_stops_at_the_first_bad_set(counts_run):
     # the fold of LH(4,3,4,3) with its last block deleted: the first set
     # (0, 1, 2, 3) of the five misses one word, and no later set is counted
     sizes, blocks = fold(build_sum_large_set(3, 3))
-    alphabet = MixedAlphabet(sizes)
-    bad = verify._set_miscount(alphabet, 4, blocks[:-1], word_total(sizes, 4))
+    bad = counted(sizes, 4, blocks[:-1])
     assert bad == oracle(sizes, 4, blocks[:-1]) == (blocks[-1][:4], 0)
     assert len(counts_run) == 1 and len(counts_run[0]) == len(blocks) - 1
