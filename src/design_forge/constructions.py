@@ -813,7 +813,9 @@ _LS456_EXCEPTIONS = {3, 5, 7, 9, 11, 13}
 def gdd_catalog(g_values=range(2, 14), h_values=range(1, 5), ell_values=range(1, 4)):
     """Parameter records of GDDs of type g^n (g(n-t))^1 derived from the
     known large-set families LH(n, g, t+1, t).  Ranges feed the families that
-    scale with a group size g, a factor h, or an exponent ell."""
+    scale with a group size g, a factor h, or an exponent ell.  The records
+    are counted, and held to the ceilings, before any is made."""
+    _catalog_count(g_values, h_values, ell_values)
     return list(_catalog_records(g_values, h_values, ell_values))
 
 

@@ -360,8 +360,8 @@ def first_miscount(items: list, total: int, ordered, want: int = 1):
     """The exactly-once kernel of coverage at t != 2 and of the
     multiplicity, strength and parallel-class checks (verify._pair_miscount
     counts weight-2 coverage in packed form, one bit or one byte per word,
-    and verify._set_miscount calls this once per coordinate t-set where
-    t >= 3 and every block lies on all n coordinates):
+    and verify._set_miscount calls this once per coordinate set, for OA
+    strength and for coverage where every block lies on all n coordinates):
     None when the items hold each of the `total` elements that `ordered()`
     yields exactly `want` times, otherwise (element, count) for the first
     element in that order whose count differs.  The accept test only

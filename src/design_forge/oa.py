@@ -2,6 +2,9 @@
 
 An OA(t, n, k) here is a k^t x n integer matrix over symbols 0..k-1 in which
 every t columns, restricted to the rows, hit every t-tuple exactly once.
+Its rows are the blocks of a design on all n coordinates, and its strength
+is that design's weight-t coverage, so verify_oa counts it by the
+verifiers' one rule per coordinate set (verify._set_miscount).
 Constructions are deterministic: rows are emitted in (a, b) lexicographic
 order, so the q constant rows of oa_square(q) (multiplier a = 0) come first.
 """
@@ -9,14 +12,12 @@ order, so the q constant rows of oa_square(q) (multiplier a = 0) come first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, combinations, filterfalse, product, repeat
-from operator import add, mul
+from itertools import chain, combinations, filterfalse, product
 
 from .core import first_miscount
 from .errors import StrengthExceedsColumns, VerificationLimitExceeded
 from .fields import field_create
-from .verify import Counterexample, VerificationReport, _within_ceiling, _word_ceiling
+from .verify import Counterexample, VerificationReport, _set_miscount, _within_ceiling, _word_ceiling
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,12 @@ def verify_oa(
     over 0..alphabet-1 exactly once.  On failure the first violation in
     (column set, symbol tuple) lexicographic order is reported.  The
     C(columns, t) x rows tuples read, and the t symbols of the tuple a
-    failure names, are bounded by the verifiers' ceiling.  A column set is
-    accepted when its rows, read as base-k keys, are distinct; only a set
-    they cannot accept is counted as tuples, and an array of other than
-    alphabet^t rows reads one set.  At t = 2 with no more symbols than
-    columns (OA(2, q, q) and OA(2, q+1, q)), each column is first tested
-    against all others at once by row signatures (_signature_misses), and
-    only the pairs (a, b), b > a, of a column a that fails are read by
-    keys.  Narrower arrays and t >= 3 read every column set by keys."""
+    failure names, are bounded by the verifiers' ceiling.  An array of
+    other than alphabet^t rows reads one set.  At t = 2 with no more
+    symbols than columns (OA(2, q, q) and OA(2, q+1, q)), each column is
+    first tested against all others at once by row signatures
+    (_signature_misses), and only the pairs (a, b), b > a, of a column a
+    that fails are counted; narrower arrays and t >= 3 count every set."""
     if t < 1:
         raise ValueError("strength must be >= 1")
     if t > array.columns:
@@ -149,34 +148,26 @@ def verify_oa(
         total = k**t
     if len(rows) != total:
         # too few rows leave a tuple out and too many repeat one, so the
-        # first column set fails and is the only one read
-        cols = tuple(range(t))
-        return _strength_failure(cols, [row[:t] for row in rows], k, total, t)
+        # first column set fails and is the only one read.  The tuples
+        # before its first miscount are each held once, so at most
+        # len(rows) of them, and the walk over the lower min(k, len(rows) + 1)
+        # symbols reaches it however large k is
+        walk = range(min(k, len(rows) + 1))
+        syms, c = first_miscount([row[:t] for row in rows], total, lambda: product(walk, repeat=t))
+        return _strength_failure(tuple(range(t)), syms, c, t)
     table = list(zip(*rows))
     if t == 2 and k <= array.columns:
         # a column the signatures pass carries every pair with every other
         # column, so a pair (b, a) with b < a passed at b; only the pairs
-        # (a, b), b > a, of a column they miss are read
+        # (a, b), b > a, of a column they miss are counted
         sets = (
             (a, b) for a in _signature_misses(table, k) for b in range(a + 1, array.columns)
         )
     else:
         sets = combinations(range(array.columns), t)
-
-    # the rows of a column set read as base-k ints, one per row, are
-    # distinct exactly when they carry every t-tuple once.  scaled(j, c) is
-    # column c standing at place j < t - 1, times that place's weight
-    # k**(t-1-j); the last place is the column itself
-    @cache
-    def scaled(j, c):
-        return list(map(mul, table[c], repeat(k ** (t - 1 - j))))
-
-    for cols in sets:
-        keys = table[cols[-1]]
-        for j in range(t - 1):
-            keys = map(add, keys, scaled(j, cols[j]))
-        if len(set(keys)) != total:
-            return _strength_failure(cols, list(zip(*(table[c] for c in cols))), k, total, t)
+    bad = _set_miscount(table, sets, [range(k)] * array.columns)
+    if bad is not None:
+        return _strength_failure(*bad, t)
     return VerificationReport(True, "oa", stats={"strength": t})
 
 
@@ -224,15 +215,8 @@ def _column_set_tuples(columns: int, t: int, rows: int, ceiling: int) -> int:
     return _within_ceiling(count, "column-set tuples", ceiling)
 
 
-def _strength_failure(cols, keys, k, total, t):
-    """The report on the first symbol tuple that the t-tuple keys of column
-    set cols hold other than once, of the `total` tuples over 0..k-1."""
-    # the walk stops by the (len(keys) + 1)-th tuple in order, since every
-    # tuple before the first miscount is held once; those tuples are the
-    # first of the walk over the lower symbols too, so product lists no more
-    # than len(keys) + 1 symbols however large k is
-    walk = range(min(k, len(keys) + 1))
-    syms, c = first_miscount(keys, total, lambda: product(walk, repeat=t))
+def _strength_failure(cols, syms, c, t):
+    """The report that column set cols carries the t-tuple syms c times."""
     ce = Counterexample(
         kind="strength",
         detail=f"columns {cols} carry {syms} {c} times, want exactly 1",

@@ -9,10 +9,12 @@ overridable per call or via DESIGN_FORGE_MAX_WORDS); weight-2 coverage is
 packed in one bit per word plus one int per (coordinate, symbol) entry, or
 in one byte per word on an alphabet too wide for bitmasks, so that ceiling
 also bounds its memory, and one rule reads the first violator from either
-packing.  Coverage at t >= 3 is counted one coordinate set at a time where
-the blocks lie on every coordinate, so that only one set's words are held
-at once.  The mixed Steiner distance pass, run only where counting cannot
-settle the distance, is guarded by the same ceiling on block pairs.
+packing.  Coverage at t != 2 where the blocks lie on every coordinate, and
+the strength of an orthogonal array, whose rows are such blocks, are
+counted by one rule, one coordinate set at a time (_set_miscount), so that
+only one set's words are held at once.  The mixed Steiner distance pass,
+run only where counting cannot settle the distance, is guarded by the same
+ceiling on block pairs.
 """
 
 from __future__ import annotations
@@ -109,16 +111,22 @@ def _coverage_counterexample(alphabet: MixedAlphabet, t: int, blocks, ceiling: i
 ]:
     """Exactly-once coverage of every weight-t word over the alphabet by the
     blocks, counted over the blocks' weight-t subwords (O(blocks * C(k, t)))
-    against the closed-form total: at t = 2 by _pair_miscount, at
-    3 <= t < k by _set_miscount, one coordinate set at a time, when the
-    blocks lie on all n coordinates (as in the fold of an LH(n, g, n, n-1)),
-    and otherwise by core.first_miscount over all the subwords at once;
-    only the violator becomes a Codeword."""
+    against the closed-form total: at t = 2 by _pair_miscount, at any other
+    t by _set_miscount, one coordinate set at a time, when the blocks lie on
+    all n coordinates (as in the fold of an LH(n, g, n, n-1)), and otherwise
+    by core.first_miscount over all the subwords at once; only the violator
+    becomes a Codeword."""
     total = _within_ceiling(word_count(alphabet, t), f"weight-{t} words", ceiling)
     if t == 2:
         bad = _pair_miscount(alphabet, blocks, total)
-    elif t >= 3 and blocks and t < len(blocks[0].support) == alphabet.n:
-        bad = _set_miscount(alphabet, t, list(map(attrgetter("support"), blocks)))
+    elif blocks and len(blocks[0].support) == alphabet.n:
+        supports = map(attrgetter("support"), blocks)
+        columns = [tuple(map(itemgetter(1), col)) for col in zip(*supports)]
+        spans = [range(1, q) for q in alphabet.sizes]
+        bad = _set_miscount(columns, combinations(range(alphabet.n), t), spans)
+        if bad is not None:
+            c, syms, n = bad
+            bad = tuple(zip(c, syms)), n
     else:
         subwords = [w for b in blocks for w in combinations(b.support, t)]
         bad = first_miscount(subwords, total, lambda: word_supports(alphabet, t))
@@ -136,27 +144,22 @@ def _coverage_counterexample(alphabet: MixedAlphabet, t: int, blocks, ceiling: i
     )
 
 
-def _set_miscount(alphabet: MixedAlphabet, t: int, supports: list):
-    """first_miscount of the weight-t subwords of the supports, each of
-    which lies on all n coordinates (3 <= t < n), against every weight-t
-    word of the alphabet once: None on accept, else (word, count) for the
-    first word in word_supports order whose count differs.
-
-    The supports are cut into symbol columns (zip and itemgetter maps, no
-    Python loop per block), and the t-sets C are taken in combinations
-    order, each counted by first_miscount over the symbol tuples zipped
-    from C's columns against the product of C's symbol ranges.  Only C's
-    words are alive at a time, and a rejection stops at the first C that
-    is miscounted, having walked only C's product; every earlier C held
-    each of its words once, so its violator is the first in the whole
-    word order."""
-    symbols = [tuple(map(itemgetter(1), col)) for col in zip(*supports)]
-    for c in combinations(range(alphabet.n), t):
-        ranges = [range(1, alphabet.sizes[x]) for x in c]
-        words = zip(*map(symbols.__getitem__, c))
-        bad = first_miscount(list(words), math.prod(map(len, ranges)), lambda: product(*ranges))
+def _set_miscount(columns, sets, spans):
+    """The one exactly-once count per coordinate set, of coverage on blocks
+    over all n coordinates and of OA strength: for each set C of `sets` in
+    order, first_miscount of the tuples zipped from columns[c], c in C (each
+    row's symbol at coordinate c), against the product of the ranges
+    spans[c].  None on accept, else (C, symbols, count) for the first C
+    miscounted and its first tuple in product order whose count differs.
+    Only C's tuples are alive at a time, and a rejection walks only C's
+    product; every earlier C held each of its tuples once, so with the sets
+    in combinations order the violator is the first in the whole word order."""
+    for c in sets:
+        ranges = list(map(spans.__getitem__, c))
+        tuples = list(zip(*map(columns.__getitem__, c)))
+        bad = first_miscount(tuples, math.prod(map(len, ranges)), lambda: product(*ranges))
         if bad is not None:
-            return tuple(zip(c, bad[0])), bad[1]
+            return c, *bad
     return None
 
 

@@ -17,6 +17,7 @@ from design_forge import (
     MixedAlphabet,
     MixedDesign,
     TypeMismatch,
+    VerificationLimitExceeded,
     covers,
     design_to_json,
     gdd_catalog,
@@ -306,6 +307,29 @@ def test_catalog_count_holds_the_largest_number_to_the_digit_limit(monkeypatch):
     assert constructions._catalog_count(g_values, range(1, 1), range(1, 14277)) == 61
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
     assert constructions._catalog_count(g_values, h_values, range(1, 14278)) == 57177
+
+
+def test_gdd_catalog_is_refused_before_any_record_is_made(monkeypatch):
+    # the default ranges make 81 records: one over a ceiling of 80 refuses
+    # them as `catalog` does, and so does the digit limit, with no record made
+    made = []
+
+    def records(*ranges):
+        made.append(ranges)
+        return iter(())
+
+    monkeypatch.setattr(constructions, "_catalog_records", records)
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "80")
+    with pytest.raises(VerificationLimitExceeded, match="^81 catalog records exceed the ceiling 80$"):
+        gdd_catalog()
+    monkeypatch.delenv("DESIGN_FORGE_MAX_WORDS")
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    with pytest.raises(ValueError, match=r"ell = 14276 exceeds the limit \(4300 digits\)"):
+        gdd_catalog(ell_values=range(1, 14277))
+    assert made == []
+    monkeypatch.setenv("DESIGN_FORGE_MAX_WORDS", "81")
+    assert gdd_catalog() == []
+    assert made == [(range(2, 14), range(1, 5), range(1, 4))]
 
 
 def _source_lambdas(n: int, g: int, t: int) -> list[Fraction]:

@@ -11,6 +11,7 @@ from itertools import combinations, product
 import pytest
 
 import design_forge.oa as oa_module
+import design_forge.verify as verify_module
 from design_forge import (
     NotPrimePower,
     OrthogonalArray,
@@ -573,14 +574,25 @@ def test_built_arrays_skip_the_check_they_would_pass(monkeypatch, build, args):
 
 @pytest.mark.parametrize("build, args", [a[1:] for a in REFERENCE_ARRAYS], ids=[a[0] for a in REFERENCE_ARRAYS])
 def test_verify_oa_accepts_without_counting_tuples(monkeypatch, build, args):
-    # an array of alphabet^t rows over 0..alphabet-1 is accepted by its base-k
-    # keys alone; the tuple count runs only for a column set they reject
-    def counted(*args):
-        raise AssertionError("a column set of a valid array was counted as tuples")
+    # a valid array is accepted by counting alone: each column set that is
+    # read goes once through the per-set count, which never walks the
+    # symbol tuples in order (signatures pass a wide t = 2 array unread)
+    real = verify_module.first_miscount
+    counted = []
+
+    def spied(items, total, ordered):
+        def walked():
+            raise AssertionError("a column set of a valid array walked its tuples")
+
+        counted.append(len(items))
+        return real(items, total, walked)
 
     array = build(*args)
-    monkeypatch.setattr(oa_module, "first_miscount", counted)
+    monkeypatch.setattr(verify_module, "first_miscount", spied)
     assert verify_oa(array, array.strength).ok
+    wide = array.strength == 2 and array.alphabet <= array.columns
+    sets = 0 if wide else math.comb(array.columns, array.strength)
+    assert counted == [len(array.rows)] * sets
 
 
 @pytest.mark.parametrize("build, args", [a[1:] for a in REFERENCE_ARRAYS], ids=[a[0] for a in REFERENCE_ARRAYS])

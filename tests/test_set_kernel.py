@@ -1,10 +1,10 @@
-"""Coverage at t >= 3 and large-set multiplicity against a brute-force oracle.
+"""Coverage at t != 2 and large-set multiplicity against a brute-force oracle.
 
 The oracle counts every support's weight-t subwords in a Counter and walks
 the words in the contract's order, coordinate sets in combinations order
 and then symbol vectors in product order, to the first whose count is not
 the wanted one.  It uses no counting code of the package, so both counts
-of verify._coverage_counterexample at t >= 3 (one coordinate set at a time
+of verify._coverage_counterexample at t != 2 (one coordinate set at a time
 through verify._set_miscount where every block lies on all n coordinates,
 else all subwords at once) are held to an independent answer.
 """
@@ -166,22 +166,29 @@ def counts_run(monkeypatch):
 @pytest.mark.parametrize(
     "sizes, t, by_set",
     [
-        # blocks on all four coordinates, counted set by set
+        # blocks on all four coordinates, counted set by set at any t != 2,
+        # including t = 1 and blocks that are their own one weight-t word
         ((3, 2, 2, 2), 3, True),
-        # blocks on coordinates 0-3 of five, and blocks that are their own
-        # one weight-t word, counted flat
+        ((3, 2, 2, 2), 1, True),
+        ((3, 2, 2, 2), 4, True),
+        # blocks on coordinates 0-3 of five, counted flat
         ((3, 2, 2, 2, 2), 3, False),
-        ((3, 2, 2, 2), 4, False),
+        ((3, 2, 2, 2, 2), 1, False),
     ],
 )
 def test_the_rule_picks_the_path(counts_run, sizes, t, by_set):
     every = [tuple(zip(range(4), syms)) for syms in product(*(range(1, q) for q in sizes[:4]))]
     for blocks in (every, every[1:], every + every[:1]):
         counts_run.clear()
-        assert counted(sizes, t, blocks) == oracle(sizes, t, blocks)
+        want = oracle(sizes, t, blocks)
+        assert counted(sizes, t, blocks) == want
         if by_set:
-            # one count per coordinate set, of symbol tuples, up to the first bad one
-            assert counts_run and all(len(s) == t and all(type(x) is int for x in s) for items in counts_run for s in items)
+            # one count per coordinate set, of symbol tuples, up to the
+            # oracle's bad one, or every set where the oracle finds none
+            sets = list(combinations(range(4), t))
+            read = len(sets) if want is None else sets.index(tuple(c for c, _ in want[0])) + 1
+            assert len(counts_run) == read
+            assert all(len(s) == t and all(type(x) is int for x in s) for items in counts_run for s in items)
         else:
             assert counts_run == [[w for b in blocks for w in combinations(b, t)]]
 

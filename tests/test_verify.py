@@ -363,6 +363,10 @@ def test_verify_steiner_shape_mismatch_is_a_fail_report():
     assert good.stats["block_count_matches"]
     shape = verify_steiner(fano, 2, 3, 9)
     assert not shape.ok and shape.counterexample.kind == "shape"
+    # every clause that differs is named, in the order t, k, points
+    shape = verify_steiner(fano, 3, 4, 9)
+    assert not shape.ok and shape.counterexample.kind == "shape"
+    assert shape.counterexample.detail == "design t=2 != 3; design k=3 != 4; design has 7 points, not 9"
 
 
 def test_verify_steiner_coverage_fail():
